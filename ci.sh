@@ -73,11 +73,23 @@
 #                     bundle must replay byte-identically serial vs
 #                     pooled vs GOMAXPROCS=2
 #
+#  15. fuzz gate  — not part of the default run; `./ci.sh fuzz` only.
+#                     The differential fuzz targets, each for a bounded
+#                     -fuzztime: FuzzFieldMul (word-level GF(2^128)
+#                     multiply against the bit-serial oracle) and
+#                     FuzzCachelineEngine (the TLS DSA's engine fed a
+#                     fuzzed cacheline order against crypto/cipher's
+#                     GCM). The bound stays short because the fuzzer's
+#                     exec rate collapses after about 200k execs on a
+#                     2-core host. Their committed seed corpora run on
+#                     every `go test`.
+#
 # `./ci.sh bench` runs only the KPI bench stage — the quick loop while
 # tuning performance. `./ci.sh shard` runs only the shard gate.
 # `./ci.sh cluster` runs only the cluster gate. `./ci.sh rdma` runs
 # only the rdma gate. `./ci.sh workload` runs only the workload gate.
-# `./ci.sh obs` runs only the obs gate.
+# `./ci.sh obs` runs only the obs gate. `./ci.sh fuzz` runs only the
+# fuzz gate.
 set -eu
 cd "$(dirname "$0")"
 
@@ -146,6 +158,13 @@ run_obs_tests() {
 	go test -run 'TestIncidentSoak' ./internal/chaos/
 }
 
+run_fuzz() {
+	echo "== fuzz gate: differential targets, bounded -fuzztime each"
+	for target in FuzzFieldMul FuzzCachelineEngine; do
+		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/aesgcm/
+	done
+}
+
 if [ "${1:-}" = "bench" ]; then
 	run_bench
 	exit 0
@@ -168,6 +187,10 @@ if [ "${1:-}" = "workload" ]; then
 fi
 if [ "${1:-}" = "obs" ]; then
 	run_obs_tests
+	exit 0
+fi
+if [ "${1:-}" = "fuzz" ]; then
+	run_fuzz
 	exit 0
 fi
 

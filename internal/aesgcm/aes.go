@@ -22,22 +22,23 @@ package aesgcm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
 
-// sbox and inverse sbox are generated at init from the GF(2^8) inverse
-// plus the AES affine transform, rather than hardcoded, to keep the
-// implementation auditable.
-var (
-	sbox  [256]byte
-	isbox [256]byte
+// sbox is generated at init from the GF(2^8) inverse plus the AES affine
+// transform, rather than hardcoded, to keep the implementation
+// auditable.
+var sbox [256]byte
 
-	// Precomputed GF(2^8) constant-multiplication tables for the
-	// MixColumns (x2, x3) and InvMixColumns (x9, x11, x13, x14) matrices.
-	mul2, mul3, mul9, mul11, mul13, mul14 [256]byte
-)
+// te is the AES round table: te[x] is the MixColumns column that S(x)
+// contributes from the top row, {2·S(x), S(x), S(x), 3·S(x)} from the most
+// significant byte down. The other three rows contribute the same column
+// rotated right by 8, 16 and 24 bits, so one 1 KB table serves a whole
+// SubBytes+ShiftRows+MixColumns round.
+var te [256]uint32
 
 // gf8Mul multiplies two elements of GF(2^8) modulo x^8+x^4+x^3+x+1.
 func gf8Mul(a, b byte) byte {
@@ -73,45 +74,49 @@ func init() {
 		// Affine: b_i = x_i ^ x_{i+4} ^ x_{i+5} ^ x_{i+6} ^ x_{i+7} ^ c_i
 		y := x ^ rotl8(x, 1) ^ rotl8(x, 2) ^ rotl8(x, 3) ^ rotl8(x, 4) ^ 0x63
 		sbox[i] = y
-		isbox[y] = byte(i)
-	}
-	for i := 0; i < 256; i++ {
-		b := byte(i)
-		mul2[i] = gf8Mul(b, 2)
-		mul3[i] = gf8Mul(b, 3)
-		mul9[i] = gf8Mul(b, 9)
-		mul11[i] = gf8Mul(b, 11)
-		mul13[i] = gf8Mul(b, 13)
-		mul14[i] = gf8Mul(b, 14)
+		te[i] = uint32(gf8Mul(y, 2))<<24 | uint32(y)<<16 | uint32(y)<<8 | uint32(gf8Mul(y, 3))
 	}
 }
 
 func rotl8(x byte, n uint) byte { return x<<n | x>>(8-n) }
 
-// Cipher is an AES block cipher with an expanded key schedule.
+// maxRoundKeys is the AES-256 schedule length: 4 words for each of its
+// 15 round keys.
+const maxRoundKeys = 4 * 15
+
+// Cipher is an AES block cipher with an expanded key schedule. It holds
+// only the encryption schedule: GCM runs the forward cipher in both
+// directions.
 type Cipher struct {
-	enc    []uint32 // round keys for encryption
-	dec    []uint32 // round keys for decryption (equivalent inverse cipher)
+	enc    [maxRoundKeys]uint32 // round keys; the first 4*(rounds+1) are used
 	rounds int
 }
 
 // NewCipher expands key (16, 24, or 32 bytes) into a Cipher.
 func NewCipher(key []byte) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.expandKey(key); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// expandKey fills c's key schedule in place, so callers can keep a
+// Cipher by value.
+func (c *Cipher) expandKey(key []byte) error {
 	switch len(key) {
 	case 16, 24, 32:
 	default:
-		return nil, fmt.Errorf("aesgcm: invalid key size %d", len(key))
+		return fmt.Errorf("aesgcm: invalid key size %d", len(key))
 	}
 	nk := len(key) / 4
 	rounds := nk + 6
-	c := &Cipher{rounds: rounds}
-	n := 4 * (rounds + 1)
-	c.enc = make([]uint32, n)
+	c.rounds = rounds
 	for i := 0; i < nk; i++ {
 		c.enc[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
 	rcon := uint32(1)
-	for i := nk; i < n; i++ {
+	for i := nk; i < 4*(rounds+1); i++ {
 		t := c.enc[i-1]
 		if i%nk == 0 {
 			t = subWord(rotWord(t)) ^ (rcon << 24)
@@ -121,19 +126,7 @@ func NewCipher(key []byte) (*Cipher, error) {
 		}
 		c.enc[i] = c.enc[i-nk] ^ t
 	}
-	// Equivalent inverse cipher key schedule: reverse round order and
-	// apply InvMixColumns to the middle round keys.
-	c.dec = make([]uint32, n)
-	for i := 0; i <= rounds; i++ {
-		for j := 0; j < 4; j++ {
-			w := c.enc[4*(rounds-i)+j]
-			if i != 0 && i != rounds {
-				w = invMixColumnsWord(w)
-			}
-			c.dec[4*i+j] = w
-		}
-	}
-	return c, nil
+	return nil
 }
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
@@ -143,39 +136,34 @@ func subWord(w uint32) uint32 {
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
 
-func invMixColumnsWord(w uint32) uint32 {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], w)
-	var o [4]byte
-	o[0] = gf8Mul(b[0], 14) ^ gf8Mul(b[1], 11) ^ gf8Mul(b[2], 13) ^ gf8Mul(b[3], 9)
-	o[1] = gf8Mul(b[0], 9) ^ gf8Mul(b[1], 14) ^ gf8Mul(b[2], 11) ^ gf8Mul(b[3], 13)
-	o[2] = gf8Mul(b[0], 13) ^ gf8Mul(b[1], 9) ^ gf8Mul(b[2], 14) ^ gf8Mul(b[3], 11)
-	o[3] = gf8Mul(b[0], 11) ^ gf8Mul(b[1], 13) ^ gf8Mul(b[2], 9) ^ gf8Mul(b[3], 14)
-	return binary.BigEndian.Uint32(o[:])
-}
-
 // Encrypt encrypts one 16-byte block from src into dst (may alias).
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aesgcm: block too short")
 	}
-	s0 := binary.BigEndian.Uint32(src[0:4]) ^ c.enc[0]
-	s1 := binary.BigEndian.Uint32(src[4:8]) ^ c.enc[1]
-	s2 := binary.BigEndian.Uint32(src[8:12]) ^ c.enc[2]
-	s3 := binary.BigEndian.Uint32(src[12:16]) ^ c.enc[3]
+	// Walk the round keys four words at a time, so each round does one
+	// bounds check instead of four.
+	k := c.enc[:4*(c.rounds+1)]
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ k[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ k[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ k[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ k[3]
 	for r := 1; r < c.rounds; r++ {
-		t0 := encRound(s0, s1, s2, s3) ^ c.enc[4*r]
-		t1 := encRound(s1, s2, s3, s0) ^ c.enc[4*r+1]
-		t2 := encRound(s2, s3, s0, s1) ^ c.enc[4*r+2]
-		t3 := encRound(s3, s0, s1, s2) ^ c.enc[4*r+3]
+		k = k[4:]
+		_ = k[3]
+		t0 := encRound(s0, s1, s2, s3) ^ k[0]
+		t1 := encRound(s1, s2, s3, s0) ^ k[1]
+		t2 := encRound(s2, s3, s0, s1) ^ k[2]
+		t3 := encRound(s3, s0, s1, s2) ^ k[3]
 		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
 	// Final round: SubBytes + ShiftRows, no MixColumns.
-	r := c.rounds
-	t0 := finalRound(s0, s1, s2, s3) ^ c.enc[4*r]
-	t1 := finalRound(s1, s2, s3, s0) ^ c.enc[4*r+1]
-	t2 := finalRound(s2, s3, s0, s1) ^ c.enc[4*r+2]
-	t3 := finalRound(s3, s0, s1, s2) ^ c.enc[4*r+3]
+	k = k[4:]
+	_ = k[3]
+	t0 := finalRound(s0, s1, s2, s3) ^ k[0]
+	t1 := finalRound(s1, s2, s3, s0) ^ k[1]
+	t2 := finalRound(s2, s3, s0, s1) ^ k[2]
+	t3 := finalRound(s3, s0, s1, s2) ^ k[3]
 	binary.BigEndian.PutUint32(dst[0:4], t0)
 	binary.BigEndian.PutUint32(dst[4:8], t1)
 	binary.BigEndian.PutUint32(dst[8:12], t2)
@@ -185,62 +173,11 @@ func (c *Cipher) Encrypt(dst, src []byte) {
 // encRound computes one column of SubBytes+ShiftRows+MixColumns for the
 // state columns (a,b,c,d) where a supplies the top byte.
 func encRound(a, b, c, d uint32) uint32 {
-	x0 := sbox[a>>24]
-	x1 := sbox[b>>16&0xff]
-	x2 := sbox[c>>8&0xff]
-	x3 := sbox[d&0xff]
-	return uint32(mul2[x0]^mul3[x1]^x2^x3)<<24 |
-		uint32(x0^mul2[x1]^mul3[x2]^x3)<<16 |
-		uint32(x0^x1^mul2[x2]^mul3[x3])<<8 |
-		uint32(mul3[x0]^x1^x2^mul2[x3])
+	return te[a>>24] ^ bits.RotateLeft32(te[b>>16&0xff], -8) ^
+		bits.RotateLeft32(te[c>>8&0xff], -16) ^ bits.RotateLeft32(te[d&0xff], -24)
 }
 
 func finalRound(a, b, c, d uint32) uint32 {
 	return uint32(sbox[a>>24])<<24 | uint32(sbox[b>>16&0xff])<<16 |
 		uint32(sbox[c>>8&0xff])<<8 | uint32(sbox[d&0xff])
-}
-
-// Decrypt decrypts one 16-byte block from src into dst (may alias).
-func (c *Cipher) Decrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aesgcm: block too short")
-	}
-	s0 := binary.BigEndian.Uint32(src[0:4]) ^ c.dec[0]
-	s1 := binary.BigEndian.Uint32(src[4:8]) ^ c.dec[1]
-	s2 := binary.BigEndian.Uint32(src[8:12]) ^ c.dec[2]
-	s3 := binary.BigEndian.Uint32(src[12:16]) ^ c.dec[3]
-	for r := 1; r < c.rounds; r++ {
-		t0 := decRound(s0, s3, s2, s1) ^ c.dec[4*r]
-		t1 := decRound(s1, s0, s3, s2) ^ c.dec[4*r+1]
-		t2 := decRound(s2, s1, s0, s3) ^ c.dec[4*r+2]
-		t3 := decRound(s3, s2, s1, s0) ^ c.dec[4*r+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-	}
-	r := c.rounds
-	t0 := invFinalRound(s0, s3, s2, s1) ^ c.dec[4*r]
-	t1 := invFinalRound(s1, s0, s3, s2) ^ c.dec[4*r+1]
-	t2 := invFinalRound(s2, s1, s0, s3) ^ c.dec[4*r+2]
-	t3 := invFinalRound(s3, s2, s1, s0) ^ c.dec[4*r+3]
-	binary.BigEndian.PutUint32(dst[0:4], t0)
-	binary.BigEndian.PutUint32(dst[4:8], t1)
-	binary.BigEndian.PutUint32(dst[8:12], t2)
-	binary.BigEndian.PutUint32(dst[12:16], t3)
-}
-
-// decRound computes one column of InvSubBytes+InvShiftRows+InvMixColumns
-// for the equivalent inverse cipher.
-func decRound(a, b, c, d uint32) uint32 {
-	x0 := isbox[a>>24]
-	x1 := isbox[b>>16&0xff]
-	x2 := isbox[c>>8&0xff]
-	x3 := isbox[d&0xff]
-	return uint32(mul14[x0]^mul11[x1]^mul13[x2]^mul9[x3])<<24 |
-		uint32(mul9[x0]^mul14[x1]^mul11[x2]^mul13[x3])<<16 |
-		uint32(mul13[x0]^mul9[x1]^mul14[x2]^mul11[x3])<<8 |
-		uint32(mul11[x0]^mul13[x1]^mul9[x2]^mul14[x3])
-}
-
-func invFinalRound(a, b, c, d uint32) uint32 {
-	return uint32(isbox[a>>24])<<24 | uint32(isbox[b>>16&0xff])<<16 |
-		uint32(isbox[c>>8&0xff])<<8 | uint32(isbox[d&0xff])
 }

@@ -55,7 +55,7 @@ func (c *RecordConfig) ConfigBytes() int {
 // records: a new engine is built per registered source buffer.
 type CachelineEngine struct {
 	dir       Direction
-	cipher    *Cipher
+	cipher    Cipher
 	iv        []byte
 	eiv       [BlockSize]byte
 	powers    *HPowers
@@ -80,10 +80,6 @@ func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, erro
 	if len(cfg.H) != BlockSize || len(cfg.EIV) != BlockSize {
 		return nil, errors.New("aesgcm: H and EIV must be 16 bytes")
 	}
-	c, err := NewCipher(cfg.Key)
-	if err != nil {
-		return nil, err
-	}
 	ctBlocks := (cfg.Length + BlockSize - 1) / BlockSize
 	aadBlocks := (len(cfg.AAD) + BlockSize - 1) / BlockSize
 	// Exponents run up to aadBlocks+ctBlocks+1 (the +1 is the lengths
@@ -91,14 +87,16 @@ func NewCachelineEngine(dir Direction, cfg RecordConfig) (*CachelineEngine, erro
 	// earlier blocks carry correspondingly higher powers).
 	e := &CachelineEngine{
 		dir:       dir,
-		cipher:    c,
 		iv:        append([]byte(nil), cfg.IV...),
-		powers:    NewHPowers(cfg.H, aadBlocks+ctBlocks+1),
 		length:    cfg.Length,
 		ctBlocks:  ctBlocks,
 		totalCLs:  (cfg.Length + CachelineSize - 1) / CachelineSize,
 		processed: make([]bool, (cfg.Length+CachelineSize-1)/CachelineSize),
 	}
+	if err := e.cipher.expandKey(cfg.Key); err != nil {
+		return nil, err
+	}
+	e.powers = NewHPowers(cfg.H, aadBlocks+ctBlocks+1)
 	copy(e.eiv[:], cfg.EIV)
 
 	// Fold the AAD contribution immediately: the CPU supplies the AAD in

@@ -64,6 +64,27 @@ func (g *GCM) EIV(iv []byte) ([]byte, error) {
 	return out, nil
 }
 
+// SubkeyAndEIV returns the hash subkey H = E_K(0^128) and the encrypted
+// initial counter block EIV = E_K(J0) for a 96-bit iv: the two values
+// the CPU computes and writes into SmartDIMM's Config Memory when it
+// registers a record (§V-A). Unlike NewGCM it builds no GHASH table, so
+// it costs one key schedule and two block encryptions.
+func SubkeyAndEIV(key, iv []byte) (h, eiv []byte, err error) {
+	var c Cipher
+	if err := c.expandKey(key); err != nil {
+		return nil, nil, err
+	}
+	j0, err := counterBlock(iv, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]byte, 2*BlockSize)
+	h, eiv = out[:BlockSize:BlockSize], out[BlockSize:]
+	c.Encrypt(h, h) // out starts zeroed: H = E_K(0^128)
+	c.Encrypt(eiv, j0[:])
+	return h, eiv, nil
+}
+
 // counterBlock builds the CTR block for a 96-bit IV with the given
 // 32-bit counter value.
 func counterBlock(iv []byte, ctr uint32) ([BlockSize]byte, error) {

@@ -1,6 +1,9 @@
 package aesgcm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // FieldEl is an element of GF(2^128) in the GCM bit ordering (the first
 // byte of the block holds the polynomial's lowest-degree coefficients in
@@ -35,54 +38,71 @@ func (e FieldEl) IsZero() bool { return e.Hi == 0 && e.Lo == 0 }
 // x^128 + x^7 + x^2 + x + 1 in the shifted representation.
 const gcmR = 0xe100000000000000
 
-// Mul returns the GF(2^128) product e*o under the GCM conventions. The
-// bit-serial loop mirrors what a hardware GF multiplier does per cycle;
-// the simulator charges its cost separately, so clarity wins over speed
-// here (a 4-bit windowed variant is used by GHASH's hot path below).
+// Mul returns the GF(2^128) product e*o under the GCM conventions. It
+// is a word-level carry-less multiply (the BearSSL ctmul64 method):
+// Karatsuba splits the 128x128 product into three 64x64 products, each
+// computed by bmul64 on the operands for its low half and on their bit
+// reversals for its high half, and a two-step fold reduces the 256-bit
+// result modulo x^128+x^7+x^2+x+1. The tests check it bit for bit
+// against the bit-serial definition of SP 800-38D.
 func (e FieldEl) Mul(o FieldEl) FieldEl {
-	var z FieldEl
-	v := o
-	for i := 0; i < 128; i++ {
-		var bit uint64
-		if i < 64 {
-			bit = (e.Hi >> (63 - uint(i))) & 1
-		} else {
-			bit = (e.Lo >> (127 - uint(i))) & 1
-		}
-		if bit == 1 {
-			z.Hi ^= v.Hi
-			z.Lo ^= v.Lo
-		}
-		lsb := v.Lo & 1
-		v.Lo = v.Lo>>1 | v.Hi<<63
-		v.Hi >>= 1
-		if lsb == 1 {
-			v.Hi ^= gcmR
-		}
-	}
-	return z
+	// In the GCM bit order the integer bits are reflected: the MSB of Hi
+	// is the coefficient of x^0. Multiplying the reflected words as
+	// ordinary polynomials yields the reflected product shifted by one.
+	y1, y0 := e.Hi, e.Lo
+	h1, h0 := o.Hi, o.Lo
+	y0r, y1r := bits.Reverse64(y0), bits.Reverse64(y1)
+	h0r, h1r := bits.Reverse64(h0), bits.Reverse64(h1)
+	y2, y2r := y0^y1, y0r^y1r
+	h2, h2r := h0^h1, h0r^h1r
+
+	z0 := bmul64(y0, h0)
+	z1 := bmul64(y1, h1)
+	z2 := bmul64(y2, h2)
+	z0h := bmul64(y0r, h0r)
+	z1h := bmul64(y1r, h1r)
+	z2h := bmul64(y2r, h2r)
+	z2 ^= z0 ^ z1
+	z2h ^= z0h ^ z1h
+	z0h = bits.Reverse64(z0h) >> 1
+	z1h = bits.Reverse64(z1h) >> 1
+	z2h = bits.Reverse64(z2h) >> 1
+
+	// The 256-bit product, least significant word first.
+	v0 := z0
+	v1 := z0h ^ z2
+	v2 := z1 ^ z2h
+	v3 := z1h
+
+	// Undo the reflection's off-by-one shift.
+	v3 = v3<<1 | v2>>63
+	v2 = v2<<1 | v1>>63
+	v1 = v1<<1 | v0>>63
+	v0 <<= 1
+
+	// Reduce: v0 and v1 hold the coefficients of x^128..x^255. Fold
+	// them into v2 and v3 with x^128 = x^7+x^2+x+1, one word at a time.
+	v2 ^= v0 ^ v0>>1 ^ v0>>2 ^ v0>>7
+	v1 ^= v0<<63 ^ v0<<62 ^ v0<<57
+	v3 ^= v1 ^ v1>>1 ^ v1>>2 ^ v1>>7
+	v2 ^= v1<<63 ^ v1<<62 ^ v1<<57
+	return FieldEl{Hi: v3, Lo: v2}
 }
 
-// mulTable is a 16-entry table of x*H for the 4-bit windowed multiply,
-// indexed by nibble value. Building it once per hash subkey amortizes the
-// bit-serial work across all blocks, the same trade hardware GHASH
-// pipelines make.
-type mulTable [16]FieldEl
-
-func newMulTable(h FieldEl) *mulTable {
-	var t mulTable
-	// t[i] = i(h) where the 4-bit index is interpreted in the GCM bit
-	// order: index bit 3 (MSB of the nibble) is the lowest-degree term.
-	t[8] = h // 0b1000: coefficient of x^0 within the nibble
-	for i := 4; i > 0; i >>= 1 {
-		t[i] = mulByX(t[i*2])
-	}
-	for i := 2; i < 16; i *= 2 {
-		for j := 1; j < i; j++ {
-			t[i+j] = t[i].Xor(t[j])
-		}
-	}
-	return &t
+// bmul64 returns the low 64 bits of the carry-less product x*y. Each
+// operand is split into four bit-masked lanes holding every fourth bit,
+// so an integer multiply of two lanes has holes between its terms that
+// absorb the carries: a product bit sums at most 15 terms below bit 60,
+// and the carry of the 16-term sum at bit 60 leaves the word.
+func bmul64(x, y uint64) uint64 {
+	const m0, m1, m2, m3 = 0x1111111111111111, 0x2222222222222222, 0x4444444444444444, 0x8888888888888888
+	x0, x1, x2, x3 := x&m0, x&m1, x&m2, x&m3
+	y0, y1, y2, y3 := y&m0, y&m1, y&m2, y&m3
+	z0 := x0*y0 ^ x1*y3 ^ x2*y2 ^ x3*y1
+	z1 := x0*y1 ^ x1*y0 ^ x2*y3 ^ x3*y2
+	z2 := x0*y2 ^ x1*y1 ^ x2*y0 ^ x3*y3
+	z3 := x0*y3 ^ x1*y2 ^ x2*y1 ^ x3*y0
+	return z0&m0 | z1&m1 | z2&m2 | z3&m3
 }
 
 // mulByX multiplies by the field element x (a one-bit right shift in the
@@ -97,32 +117,12 @@ func mulByX(v FieldEl) FieldEl {
 	return v
 }
 
-// mul multiplies y by the table's hash subkey using a 4-bit-windowed
-// Horner evaluation. In the GCM representation the LSB end of Lo holds
-// the highest-degree coefficients, so walking low nibbles first visits
-// terms in descending degree, exactly what Horner needs. Kept as the
-// reference/ablation path; the GHASH hot loop uses the 8-bit table.
-func (t *mulTable) mul(y FieldEl) FieldEl {
-	var z FieldEl
-	process := func(word uint64) {
-		for i := 0; i < 16; i++ {
-			nib := word & 0xf
-			word >>= 4
-			// z = z * x^4, then add this nibble's contribution.
-			z = mulByX(mulByX(mulByX(mulByX(z))))
-			z = z.Xor(t[nib])
-		}
-	}
-	process(y.Lo)
-	process(y.Hi)
-	return z
-}
-
-// mulTable8 is the 256-entry byte-indexed multiplication table: the same
-// Horner structure as mulTable, but consuming a whole byte per step so a
-// block costs 16 table folds instead of 32 nibble folds. Index bit 7
-// (the byte's MSB) is the lowest-degree term, matching the GCM bit
-// order of the 4-bit table.
+// mulTable8 is the 256-entry byte-indexed multiplication table of the
+// hash subkey for GHASH's Horner evaluation, consuming a whole byte per
+// step so a block costs 16 table folds. Building it once per hash
+// subkey amortizes the work across all blocks, the same trade hardware
+// GHASH pipelines make. Index bit 7 (the byte's MSB) is the
+// lowest-degree term, matching the GCM bit order.
 type mulTable8 [256]FieldEl
 
 func newMulTable8(h FieldEl) *mulTable8 {

@@ -693,11 +693,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 		switch u {
 		case TLS:
 			iv := conn.NextIV()
-			g, err := aesgcm.NewGCM(conn.Key)
-			if err != nil {
-				return res, err
-			}
-			eiv, err := g.EIV(iv)
+			h, eiv, err := aesgcm.SubkeyAndEIV(conn.Key, iv)
 			if err != nil {
 				return res, err
 			}
@@ -705,7 +701,7 @@ func (b *SmartDIMM) Process(u ULP, coreID int, conn *Conn, payloadLen int) (Resu
 				Op: core.OpTLSEncrypt,
 				TLS: &core.TLSContext{
 					Direction: aesgcm.Encrypt, Key: conn.Key, IV: iv,
-					H: g.H(), EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
+					H: h, EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
 				},
 				Length: n,
 			}

@@ -98,11 +98,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 		sbuf := conn.Src + uint64(k*l.SrcStride)
 		dbuf := conn.Dst + uint64(k*l.DstStride)
 		iv := conn.NextIV()
-		g, err := aesgcm.NewGCM(conn.Key)
-		if err != nil {
-			return res, err
-		}
-		eiv, err := g.EIV(iv)
+		h, eiv, err := aesgcm.SubkeyAndEIV(conn.Key, iv)
 		if err != nil {
 			return res, err
 		}
@@ -110,7 +106,7 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 			Op: core.OpTLSDecrypt,
 			TLS: &core.TLSContext{
 				Direction: aesgcm.Decrypt, Key: conn.Key, IV: iv,
-				H: g.H(), EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
+				H: h, EIV: eiv, AAD: tlsAAD(n), PayloadLen: n,
 			},
 			Length: n,
 		}
@@ -127,6 +123,10 @@ func (b *SmartDIMM) ReceiveTLS(coreID int, conn *Conn, payloadLens []int) (RXRes
 			sealed, rlat, rerr := b.Sys.ReadBytes(coreID, sbuf, n+core.TagSize)
 			if rerr != nil {
 				return res, rerr
+			}
+			g, gerr := aesgcm.NewGCM(conn.Key)
+			if gerr != nil {
+				return res, gerr
 			}
 			pt, oerr := g.Open(nil, iv, sealed, tlsAAD(n))
 			if oerr != nil {
