@@ -49,7 +49,7 @@
 #                     cluster-3node scenario)
 #
 #  12. rdma gate   — the zero-copy peer-DMA data path: the RDMA NIC /
-#                     offload / fleet MR-locality tests and the
+#                     nettcp / fleet MR-locality tests and the
 #                     serial-vs-pooled-vs-GOMAXPROCS=2 byte-identity
 #                     gate for the rdma figure under -race, the bounded
 #                     RDMA chaos soak (doorbell loss, RNR, MR-unregister
@@ -76,13 +76,20 @@
 #  15. fuzz gate  — not part of the default run; `./ci.sh fuzz` only.
 #                     The differential fuzz targets, each for a bounded
 #                     -fuzztime: FuzzFieldMul (word-level GF(2^128)
-#                     multiply against the bit-serial oracle) and
+#                     multiply against the bit-serial oracle),
 #                     FuzzCachelineEngine (the TLS DSA's engine fed a
 #                     fuzzed cacheline order against crypto/cipher's
-#                     GCM). The bound stays short because the fuzzer's
-#                     exec rate collapses after about 200k execs on a
-#                     2-core host. Their committed seed corpora run on
-#                     every `go test`.
+#                     GCM) and FuzzGCMSealOpen (GCM.Seal/Open against
+#                     crypto/cipher's GCM). The bound stays short because
+#                     the fuzzer's exec rate collapses after about 200k
+#                     execs on a 2-core host. Their committed seed
+#                     corpora run on every `go test`.
+#
+# Every go test invocation is one row of the stage table below. Before
+# a row runs, its top-level -run pattern must name at least one test in
+# each of its packages, so a renamed test cannot silently drop out of a
+# gate. -run splits its pattern on '/' at every level, so a row that
+# selects one TestSoakReplay subtest carries only that pattern.
 #
 # `./ci.sh bench` runs only the KPI bench stage — the quick loop while
 # tuning performance. `./ci.sh shard` runs only the shard gate.
@@ -93,14 +100,66 @@
 set -eu
 cd "$(dirname "$0")"
 
+# The stage table, one go test invocation per row:
+#   stage  flags (comma-separated, - for none)  -run pattern (- for all)  packages
+stage_table() {
+	cat <<'EOF'
+smoke     -short        -  ./internal/chaos/
+race      -race         -  ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
+golden    -             TestPerfettoGolden|TestFullStackTraceReproducible  ./internal/telemetry/
+tracestat -             TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers  ./internal/experiments/
+tracestat -             TestGoToolPprofAcceptsExport  ./internal/profile/
+shard     -race         Shard  ./internal/sim/ ./internal/fleet/ ./internal/chaos/
+shard     -race         TestSoakReplay/^sharded$  ./internal/chaos/
+cluster   -race,-short  TestClusterSoakSchedules  ./internal/chaos/
+cluster   -race,-short  TestSoakReplay/^cluster$  ./internal/chaos/
+cluster   -race         TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably  ./internal/cluster/
+rdma      -race         RDMA  ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
+rdma      -race,-short  TestRDMASoak  ./internal/chaos/
+rdma      -race,-short  TestSoakReplay/^rdma$  ./internal/chaos/
+workload  -race         -  ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
+workload  -race         TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration  ./internal/fleet/
+workload  -race,-short  TestWorkloadSoak  ./internal/chaos/
+obs       -race         -  ./internal/obs/
+obs       -             TestIncidentSoak  ./internal/chaos/
+obs       -             TestSoakReplay/^incident$  ./internal/chaos/
+full      -shuffle=on   -  ./...
+EOF
+}
+
+# require_tests PATTERN PKG fails unless PATTERN names a test in PKG.
+require_tests() {
+	if ! go test -list "$1" "$2" </dev/null | grep -Eq '^(Test|Fuzz)'; then
+		echo "ci.sh: -run '$1' matches no test in $2" >&2
+		exit 1
+	fi
+}
+
+# run_stage STAGE runs every table row of STAGE in order.
+run_stage() {
+	stage_table | while read -r stage flags pattern pkgs; do
+		[ "$stage" = "$1" ] || continue
+		if [ "$flags" = "-" ]; then flags=""; else flags=$(echo "$flags" | tr , ' '); fi
+		if [ "$pattern" = "-" ]; then
+			echo "== $stage: go test $flags $pkgs"
+			go test $flags $pkgs </dev/null
+			continue
+		fi
+		for pkg in $pkgs; do
+			require_tests "${pattern%%/*}" "$pkg"
+		done
+		echo "== $stage: go test $flags -run '$pattern' $pkgs"
+		go test $flags -run "$pattern" $pkgs </dev/null
+	done
+}
+
 run_bench() {
 	echo "== KPI bench gate (BENCH_baseline.json, results in BENCH_results.json)"
 	go run ./cmd/tracestat -bench -baseline BENCH_baseline.json -out BENCH_results.json
 }
 
 run_shard() {
-	echo "== shard determinism gate (serial vs parallel vs GOMAXPROCS=2, under -race)"
-	go test -race -run 'Shard' ./internal/sim/ ./internal/fleet/ ./internal/chaos/
+	run_stage shard
 
 	# Parallel epoch execution must stay confined to the sharded executor:
 	# shard-local model code is written single-threaded and relies on it.
@@ -117,82 +176,21 @@ run_shard() {
 	fi
 }
 
-run_cluster_tests() {
-	echo "== cluster gate: bounded chaos soak + determinism gates (under -race)"
-	go test -race -short -run 'TestClusterSoak|TestClusterScheduleDerivation' ./internal/chaos/
-	go test -race -run 'TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably' ./internal/cluster/
-}
-
-run_cluster() {
-	run_cluster_tests
-	run_bench
-}
-
-run_rdma_tests() {
-	echo "== rdma gate: NIC model, MR-locality, figure determinism (under -race) + bounded soak"
-	go test -race -run 'RDMA' ./internal/rdma/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
-	go test -race -short -run 'TestRDMASoak|TestRDMASameSeedSameTrace' ./internal/chaos/
-}
-
-run_rdma() {
-	run_rdma_tests
-	run_bench
-}
-
-run_workload_tests() {
-	echo "== workload gate: sources, arrivals, autoscaler, fleet admin surface (under -race)"
-	go test -race ./internal/workload/ ./internal/autoscale/ ./internal/wrkgen/
-	go test -race -run 'TestFleetDrainAdmitHeld|TestFleetSetPolicyLive|TestFleetQDepthTelemetry|TestFleetMetricsConcurrentRegistration' ./internal/fleet/
-	go test -race -short -run 'TestWorkloadSoak' ./internal/chaos/
-}
-
-run_workload() {
-	run_workload_tests
-	run_bench
-}
-
-run_obs_tests() {
-	echo "== obs gate: series store, alert engine, flight recorder (under -race)"
-	go test -race ./internal/obs/
-	echo "== obs gate: incident soak + bundle byte-identity (serial vs pooled vs GOMAXPROCS=2)"
-	go test -run 'TestIncidentSoak' ./internal/chaos/
-}
-
 run_fuzz() {
 	echo "== fuzz gate: differential targets, bounded -fuzztime each"
-	for target in FuzzFieldMul FuzzCachelineEngine; do
+	for target in FuzzFieldMul FuzzCachelineEngine FuzzGCMSealOpen; do
+		require_tests "^$target\$" ./internal/aesgcm/
 		go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/aesgcm/
 	done
 }
 
-if [ "${1:-}" = "bench" ]; then
-	run_bench
-	exit 0
-fi
-if [ "${1:-}" = "shard" ]; then
-	run_shard
-	exit 0
-fi
-if [ "${1:-}" = "cluster" ]; then
-	run_cluster
-	exit 0
-fi
-if [ "${1:-}" = "rdma" ]; then
-	run_rdma
-	exit 0
-fi
-if [ "${1:-}" = "workload" ]; then
-	run_workload
-	exit 0
-fi
-if [ "${1:-}" = "obs" ]; then
-	run_obs_tests
-	exit 0
-fi
-if [ "${1:-}" = "fuzz" ]; then
-	run_fuzz
-	exit 0
-fi
+case "${1:-}" in
+bench) run_bench; exit 0 ;;
+shard) run_shard; exit 0 ;;
+cluster | rdma | workload) run_stage "$1"; run_bench; exit 0 ;;
+obs) run_stage obs; exit 0 ;;
+fuzz) run_fuzz; exit 0 ;;
+esac
 
 echo "== go vet ./..."
 go vet ./...
@@ -200,8 +198,7 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -short ./internal/chaos/"
-go test -short ./internal/chaos/
+run_stage smoke
 
 echo "== wall-clock gate (no time.Now() in internal/ or cmd/)"
 # internal/ is absolute: simulator code must use simulated picoseconds.
@@ -216,29 +213,15 @@ if grep -rn "time\.Now()" cmd/ --include="*.go" | grep -v "wallclock:ok"; then
 	exit 1
 fi
 
-echo "== go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/"
-go test -race ./internal/runner/ ./internal/sim/ ./internal/offload/ ./internal/nettcp/ ./internal/fleet/ ./internal/telemetry/
-
-echo "== golden Perfetto trace"
-go test -run 'TestPerfettoGolden|TestFullStackTraceReproducible' ./internal/telemetry/
-
-echo "== tracestat golden output"
-go test -run 'TestCritPathGolden|TestTracestatByteIdenticalAcrossSchedulers' ./internal/experiments/
-go test -run 'TestGoToolPprofAcceptsExport' ./internal/profile/
-
+run_stage race
+run_stage golden
+run_stage tracestat
 run_shard
-
-run_cluster_tests
-
-run_rdma_tests
-
-run_workload_tests
-
-run_obs_tests
-
+run_stage cluster
+run_stage rdma
+run_stage workload
+run_stage obs
 run_bench
-
-echo "== go test -shuffle=on ./..."
-go test -shuffle=on ./...
+run_stage full
 
 echo "ci.sh: all gates passed"

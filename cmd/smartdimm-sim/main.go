@@ -483,8 +483,11 @@ func runWorkload(cfg cliConfig, conns int) (string, error) {
 	if rc.Scale != nil {
 		fmt.Fprintf(&b, "autoscaler:  SLO %.0fus held %.0f%% of ticks; %d admits, %d drains\n",
 			cfg.sloUs, rep.SLOHeldFrac*100, rep.Fleet.AdminAdmits, rep.Fleet.AdminDrains)
-		if rep.Actions != "" {
-			fmt.Fprintf(&b, "--- actions ---\n%s", rep.Actions)
+		if len(rep.Actions) > 0 {
+			b.WriteString("--- actions ---\n")
+			for _, a := range rep.Actions {
+				fmt.Fprintf(&b, "%s\n", a)
+			}
 		}
 	}
 	if len(rc.Rules) > 0 {

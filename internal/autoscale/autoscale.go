@@ -30,7 +30,6 @@ package autoscale
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -165,7 +164,7 @@ type Controller struct {
 	latP99Name, latCountName string
 	stateNames, qdepthNames  []string
 
-	// Actions is the decision log; TraceString renders it.
+	// Actions is the decision log; Action.String renders one entry.
 	Actions []Action
 	// Ticks counts control intervals; SLOHeldTicks those whose measured
 	// p99 (with enough samples) met the SLO — the soak's figure of merit.
@@ -333,15 +332,4 @@ func (c *Controller) SLOHeldFrac() float64 {
 		return 0
 	}
 	return float64(c.SLOHeldTicks) / float64(c.MeasuredTicks)
-}
-
-// TraceString renders the action log one decision per line — the
-// byte-compared artifact of the workload determinism gate.
-func (c *Controller) TraceString() string {
-	var b strings.Builder
-	for _, a := range c.Actions {
-		b.WriteString(a.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

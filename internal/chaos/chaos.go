@@ -18,12 +18,13 @@
 //     Config Memory free lists return to their configured sizes, the
 //     Translation Table is empty, no record is in flight, and the event
 //     engine holds no leaked events;
-//   - schedules replay: the same seed reproduces the identical fault
-//     trace (fault.Injector.TraceString) and the identical report.
+//   - schedules replay: the same seed reproduces the identical canonical
+//     report (fault trace, counters and violations included).
 //
-// A scenario deliberately runs on a tiny device (8 Scratchpad / 8
-// Config pages) so multi-record operations exercise Force-Recycle and
-// genuine exhaustion, not just the injected faults.
+// Run, RunFleet and RunRDMA share one harness on a deliberately tiny
+// device (8 Scratchpad / 8 Config pages), so multi-record operations
+// exercise Force-Recycle and genuine exhaustion, not just the injected
+// faults.
 package chaos
 
 import (
@@ -31,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
+	"strings"
 
 	"repro/internal/aesgcm"
 	"repro/internal/core"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/deflate"
 	"repro/internal/dram"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/memctrl"
 	"repro/internal/offload"
 	"repro/internal/sim"
@@ -52,46 +54,66 @@ const (
 	compMsg = 2 * core.MaxCompressInput
 )
 
-// Report summarizes one chaos scenario. Violations lists every
-// invariant breach; an empty list means the scenario survived.
+// tinyDevice is the SmartDIMM every rank of a harness system gets.
+var tinyDevice = core.DeviceConfig{
+	Geometry:         dram.SmallGeometry(),
+	ScratchpadPages:  8,
+	ConfigPages:      8,
+	DSALatencyCycles: 32,
+	MMIOPages:        1,
+}
+
+// Report summarizes one tiny-device chaos soak (Run, RunFleet or
+// RunRDMA); counters a soak does not drive stay zero. Violations lists
+// every invariant breach; an empty list means the soak survived.
 type Report struct {
-	Seed int64
-	Ops  int
+	Seed         int64
+	Ops, Devices int
+	Policy       string // fleet placement policy ("" for Run)
 	// Tolerated counts operations that failed with a degradable error
 	// (the typed set the software stack recovers from) — expected under
 	// injection, not a violation.
 	Tolerated int
 	// Consults/Fired are the injector's totals across all sites.
 	Consults, Fired int64
-	// PrimaryOps/FallbackOps are per-chunk outcomes from the SmartDIMM
-	// backend's degradation counters.
+	// PrimaryOps/FallbackOps are per-chunk outcomes from the backend's
+	// degradation counters.
 	PrimaryOps, FallbackOps uint64
-	Violations              []string
-	// Trace is the canonical fault trace: equal across runs of the same
-	// seed, the reproducibility artifact.
-	Trace string
-	// TracePath is where RunWithTrace wrote the Perfetto trace (empty
-	// for plain Run).
-	TracePath string
+	// Trips/Readmits/Migrations/Sheds/SoftOps are the fleet's reactions.
+	Trips, Readmits, Migrations, Sheds, SoftOps uint64
+	// NIC counters after the final drain.
+	Posted, Completed, Failed    uint64
+	DoorbellsLost, RNRNaks       uint64
+	StaleRetries, BoundsRefusals uint64
+	PeerBytes                    uint64
+	Violations                   []string
+	// Trace is the canonical fault trace, NICTrace the NIC-op trace and
+	// Placement the fleet's placement trace.
+	Trace, NICTrace, Placement string
+	// Canonical renders everything above; the same seed must reproduce
+	// it byte for byte.
+	Canonical string
 }
 
-// Collect implements telemetry.Collector.
-func (r Report) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "consults", Value: float64(r.Consults)})
-	emit(telemetry.Sample{Name: "fired", Value: float64(r.Fired)})
-	emit(telemetry.Sample{Name: "primary_ops", Value: float64(r.PrimaryOps)})
-	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(r.FallbackOps)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
+func (r *Report) canonical() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed=%d ops=%d devices=%d policy=%s tolerated=%d\n", r.Seed, r.Ops, r.Devices, r.Policy, r.Tolerated)
+	fmt.Fprintf(&b, "faults consults=%d fired=%d\n", r.Consults, r.Fired)
+	fmt.Fprintf(&b, "chunks primary=%d fallback=%d\n", r.PrimaryOps, r.FallbackOps)
+	fmt.Fprintf(&b, "fleet trips=%d readmits=%d migrations=%d sheds=%d soft=%d\n",
+		r.Trips, r.Readmits, r.Migrations, r.Sheds, r.SoftOps)
+	fmt.Fprintf(&b, "nic posted=%d completed=%d failed=%d lost=%d naks=%d stale=%d bounds=%d peer_bytes=%d\n",
+		r.Posted, r.Completed, r.Failed, r.DoorbellsLost, r.RNRNaks, r.StaleRetries, r.BoundsRefusals, r.PeerBytes)
+	fmt.Fprintf(&b, "-- fault trace --\n%s-- nic trace --\n%s-- placement trace --\n%s\n", r.Trace, r.NICTrace, r.Placement)
+	writeViolations(&b, r.Violations)
+	return b.String()
 }
 
-// chunkRef is one destination region an operation may have registered;
-// the drain phase USEs every one of them to settle accounting.
-type chunkRef struct {
-	addr uint64
-	size int
+// writeViolations appends one line per violation to a canonical report.
+func writeViolations(b *strings.Builder, violations []string) {
+	for _, v := range violations {
+		fmt.Fprintf(b, "VIOLATION: %s\n", v)
+	}
 }
 
 // tolerable mirrors the offload layer's degradable set: the only
@@ -109,25 +131,134 @@ func tlsAAD(n int) []byte {
 	return []byte{0x17, 0x03, 0x03, byte(m >> 8), byte(m)}
 }
 
-type scenario struct {
-	rng  *rand.Rand
-	inj  *fault.Injector
-	sys  *sim.System
-	off  *offload.SmartDIMM
-	base []byte
-	rep  *Report
+// chunk is one destination region an operation may have registered,
+// tracked relative to its connection so migrations (which rewrite the
+// connection's buffer addresses) can't strand the drain.
+type chunk struct {
+	conn *offload.Conn
+	off  uint64
+	size int
+}
 
-	// tls+tlsShadow share an id and therefore key material: the shadow's
-	// NextIV is consumed in lockstep with the operation conn's, giving
-	// the verifier the IV sequence without reaching into unexported
-	// state. Any failed operation abandons the pair (the conn's sequence
-	// number is indeterminate after a partial operation) and allocates a
-	// fresh one under a new id.
-	tls, tlsShadow *offload.Conn
-	comp           *offload.Conn
-	nextID         int
+// harness is the rig Run, RunFleet and RunRDMA share: the seeded RNG
+// and injector, a system of tiny devices, the payload corpus, and the
+// report the soak fills.
+type harness struct {
+	rng     *rand.Rand
+	inj     *fault.Injector
+	sys     *sim.System
+	base    []byte
+	rep     *Report
+	cleanup []chunk
+}
 
-	cleanup []chunkRef
+// newHarness seeds the RNG and injector from rep.Seed, lets arm install
+// the fault plan from that RNG, and builds ranks tiny devices on data
+// path dp, traced to tr (nil = off).
+func newHarness(rep *Report, ranks int, dp sim.DataPath, tr *telemetry.Tracer, arm func(*rand.Rand, *fault.Injector)) (*harness, error) {
+	rng := rand.New(rand.NewSource(rep.Seed))
+	inj := fault.New(rep.Seed)
+	arm(rng, inj)
+	dc := tinyDevice
+	sys, err := sim.NewSystem(sim.SystemConfig{
+		SmartDIMMRanks: ranks,
+		LLCBytes:       4 << 20,
+		LLCWays:        8,
+		DeviceConfig:   &dc,
+		DataPath:       dp,
+		Faults:         inj,
+		Tracer:         tr,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.Devices = ranks
+	return &harness{rng: rng, inj: inj, sys: sys, base: corpus.Generate(corpus.HTML, 96<<10, rep.Seed), rep: rep}, nil
+}
+
+func (h *harness) violate(format string, args ...any) {
+	h.rep.Violations = append(h.rep.Violations, fmt.Sprintf(format, args...))
+}
+
+// tolerate classifies an operation failure: typed degradable errors are
+// tolerated, anything else is a violation.
+func (h *harness) tolerate(label string, err error) {
+	if tolerable(err) {
+		h.rep.Tolerated++
+	} else {
+		h.violate("%s: non-degradable error: %v", label, err)
+	}
+}
+
+// payload returns a deterministic slice of the corpus.
+func (h *harness) payload(n int) []byte {
+	off := h.rng.Intn(len(h.base) - n)
+	return h.base[off : off+n]
+}
+
+// conserved asserts the cross-fleet page invariant: allocated pages over
+// every rank driver must equal exactly what the fleet's live connections
+// hold, wherever migration has put them.
+func (h *harness) conserved(fl *fleet.Fleet, when string) {
+	if out, exp := fl.OutstandingPages(), fl.ExpectedPages(); out != exp {
+		h.violate("conservation %s: %d pages allocated across ranks, connections should hold %d", when, out, exp)
+	}
+}
+
+// fleetTotals copies the fleet's reactions into the report.
+func (h *harness) fleetTotals(fl *fleet.Fleet) {
+	t := fl.Totals()
+	h.rep.Trips, h.rep.Readmits = t.Trips, t.Readmits
+	h.rep.Migrations, h.rep.Sheds, h.rep.SoftOps = t.Migrations, t.Sheds, t.SoftOps
+	h.rep.PrimaryOps, h.rep.FallbackOps = t.Degraded.PrimaryOps, t.Degraded.FallbackOps
+	h.rep.Placement = fl.TraceString()
+}
+
+// settle quiesces injection, then reclaims every destination chunk any
+// operation may have left registered. USE consumes the record the
+// normal way; the rewrite+flush models the software reusing the buffer,
+// which swap-recycles any line whose early writeback was S7-ignored
+// while the DSA was still producing it (such a line's LLC copy is clean,
+// so USE's flush alone never writes it back). Chunk addresses resolve
+// through the live connection structs, so buffers that migrated between
+// ranks are drained where they ended up. With faults disarmed every step
+// must succeed, and afterwards every rank's resource pools must be back
+// at their configured sizes and the engine must hold no events.
+func (h *harness) settle() {
+	h.inj.DisarmAll()
+	zeros := make([]byte, (offload.MaxTLSPayload+aesgcm.TagSize+63)&^63)
+	for _, c := range h.cleanup {
+		addr := c.conn.Dst + c.off
+		if _, _, err := h.sys.Driver.Use(0, addr, c.size); err != nil {
+			h.violate("drain: USE(%#x,%d) after disarm: %v", addr, c.size, err)
+		}
+		wlen := (c.size + 63) &^ 63 // stays within the chunk's pages
+		if _, err := h.sys.Driver.WriteBuffer(0, addr, zeros[:wlen]); err != nil {
+			h.violate("drain: rewrite(%#x,%d): %v", addr, wlen, err)
+		}
+		if _, err := h.sys.Hier.Flush(addr, wlen); err != nil {
+			h.violate("drain: flush(%#x,%d): %v", addr, wlen, err)
+		}
+	}
+	for i, dev := range h.sys.Devs {
+		if free := dev.ScratchpadFreePages(); free != tinyDevice.ScratchpadPages {
+			h.violate("conservation: dev %d: %d/%d scratchpad pages free after drain", i, free, tinyDevice.ScratchpadPages)
+		}
+		if free := dev.ConfigFreePages(); free != tinyDevice.ConfigPages {
+			h.violate("conservation: dev %d: %d/%d config pages free after drain", i, free, tinyDevice.ConfigPages)
+		}
+		if n := dev.TranslationCount(); n != 0 {
+			h.violate("conservation: dev %d: %d translation entries leaked", i, n)
+		}
+		if n := dev.InFlightRecords(); n != 0 {
+			h.violate("conservation: dev %d: %d records still in flight", i, n)
+		}
+	}
+	if n := h.sys.Engine.Pending(); n != 0 {
+		h.violate("engine: %d events leaked", n)
+	}
+	h.rep.Consults, h.rep.Fired = h.inj.Counts()
+	h.rep.Trace = h.inj.TraceString()
 }
 
 // armSites installs an independent random plan (or none) at every
@@ -156,77 +287,36 @@ func armSites(rng *rand.Rand, inj *fault.Injector) {
 	}
 }
 
+type scenario struct {
+	*harness
+	off *offload.SmartDIMM
+
+	// tls+tlsShadow share an id and therefore key material: the shadow's
+	// NextIV is consumed in lockstep with the operation conn's, giving
+	// the verifier the IV sequence without reaching into unexported
+	// state. Any failed operation abandons the pair (the conn's sequence
+	// number is indeterminate after a partial operation) and allocates a
+	// fresh one under a new id.
+	tls, tlsShadow *offload.Conn
+	comp           *offload.Conn
+	nextID         int
+}
+
 // Run executes one chaos scenario: ops randomized operations (TLS
 // TX/RX, compression TX/RX) against a tiny SmartDIMM under the seeded
 // fault schedule, a plain-DIMM read/write phase under dram.alert, then
-// the disarm/drain/conservation check. The returned error reports
+// the disarm/drain/conservation check. A non-nil tracer records the
+// scenario's Perfetto trace (fault instants, driver CompCpy spans,
+// device events, controller drains). The returned error reports
 // harness construction failures only; invariant breaches land in
 // Report.Violations.
-func Run(seed int64, ops int) (Report, error) {
-	return run(seed, ops, nil)
-}
-
-// RunWithTrace is Run with span tracing enabled: the scenario records a
-// Perfetto trace (fault instants, driver CompCpy spans, device events,
-// controller drains) and writes it to tracePath. Same-seed runs write
-// byte-identical traces.
-func RunWithTrace(seed int64, ops int, tracePath string) (Report, error) {
-	tr := telemetry.New()
-	rep, err := run(seed, ops, tr)
-	if err != nil {
-		return rep, err
-	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return rep, err
-	}
-	if err := tr.WritePerfetto(f); err != nil {
-		f.Close()
-		return rep, err
-	}
-	if err := f.Close(); err != nil {
-		return rep, err
-	}
-	rep.TracePath = tracePath
-	return rep, nil
-}
-
-func run(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
-	if ops <= 0 {
-		ops = 12
-	}
+func Run(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
 	rep := Report{Seed: seed, Ops: ops}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.New(seed)
-	armSites(rng, inj)
-
-	dc := core.DeviceConfig{
-		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  8,
-		ConfigPages:      8,
-		DSALatencyCycles: 32,
-		MMIOPages:        1,
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		WithSmartDIMM: true,
-		LLCBytes:      4 << 20,
-		LLCWays:       8,
-		DeviceConfig:  &dc,
-		Faults:        inj,
-		Tracer:        tracer,
-	})
+	h, err := newHarness(&rep, 1, sim.DataPathHost, tracer, armSites)
 	if err != nil {
 		return rep, err
 	}
-
-	s := &scenario{
-		rng:  rng,
-		inj:  inj,
-		sys:  sys,
-		off:  &offload.SmartDIMM{Sys: sys},
-		base: corpus.Generate(corpus.HTML, 96<<10, seed),
-		rep:  &rep,
-	}
+	s := &scenario{harness: h, off: &offload.SmartDIMM{Sys: h.sys}}
 	if err := s.newTLSPair(); err != nil {
 		return rep, err
 	}
@@ -255,69 +345,20 @@ func run(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-
-	// Drain: quiesce injection, then reclaim every destination chunk any
-	// operation may have left registered. USE consumes the record the
-	// normal way; the rewrite+flush models the software reusing the
-	// buffer, which swap-recycles any line whose early writeback was
-	// S7-ignored while the DSA was still producing it (such a line's LLC
-	// copy is clean, so USE's flush alone never writes it back). With
-	// faults disarmed every step must succeed, and afterwards every
-	// resource pool must be back at its configured size.
-	s.inj.DisarmAll()
-	zeros := make([]byte, (tlsMsg/2+aesgcm.TagSize+63)&^63)
-	for _, c := range s.cleanup {
-		if _, _, err := s.sys.Driver.Use(0, c.addr, c.size); err != nil {
-			s.violate("drain: USE(%#x,%d) after disarm: %v", c.addr, c.size, err)
-		}
-		wlen := (c.size + 63) &^ 63 // stays within the chunk's pages
-		if _, err := s.sys.Driver.WriteBuffer(0, c.addr, zeros[:wlen]); err != nil {
-			s.violate("drain: rewrite(%#x,%d): %v", c.addr, wlen, err)
-		}
-		if _, err := s.sys.Hier.Flush(c.addr, wlen); err != nil {
-			s.violate("drain: flush(%#x,%d): %v", c.addr, wlen, err)
-		}
-	}
-	dev := s.sys.Dev
-	if free := dev.ScratchpadFreePages(); free != dc.ScratchpadPages {
-		s.violate("conservation: %d/%d scratchpad pages free after drain", free, dc.ScratchpadPages)
-	}
-	if free := dev.ConfigFreePages(); free != dc.ConfigPages {
-		s.violate("conservation: %d/%d config pages free after drain", free, dc.ConfigPages)
-	}
-	if n := dev.TranslationCount(); n != 0 {
-		s.violate("conservation: %d translation entries leaked", n)
-	}
-	if n := dev.InFlightRecords(); n != 0 {
-		s.violate("conservation: %d records still in flight", n)
-	}
-	if n := s.sys.Engine.Pending(); n != 0 {
-		s.violate("engine: %d events leaked", n)
-	}
+	s.settle()
 	if n := psys.Engine.Pending(); n != 0 {
 		s.violate("engine: %d events leaked on plain-DIMM system", n)
 	}
-
-	rep.Consults, rep.Fired = inj.Counts()
 	rep.PrimaryOps = s.off.Degraded.PrimaryOps
 	rep.FallbackOps = s.off.Degraded.FallbackOps
-	rep.Trace = inj.TraceString()
+	rep.Canonical = rep.canonical()
 	return rep, nil
 }
 
-func (s *scenario) violate(format string, args ...interface{}) {
-	s.rep.Violations = append(s.rep.Violations, fmt.Sprintf(format, args...))
-}
-
-// opFailed classifies an operation failure (typed degradable errors are
-// tolerated, anything else is a violation) and renews the affected
+// opFailed classifies an operation failure and renews the affected
 // connection so later operations start from known sequence state.
 func (s *scenario) opFailed(label string, err error, renew func() error) error {
-	if tolerable(err) {
-		s.rep.Tolerated++
-	} else {
-		s.violate("%s: non-degradable error: %v", label, err)
-	}
+	s.tolerate(label, err)
 	return renew()
 }
 
@@ -347,12 +388,6 @@ func (s *scenario) newComp() error {
 	return nil
 }
 
-// payload returns a deterministic slice of the corpus.
-func (s *scenario) payload(n int) []byte {
-	off := s.rng.Intn(len(s.base) - n)
-	return s.base[off : off+n]
-}
-
 // opTLSTX encrypts a message through Process and verifies every record
 // decrypts back to the staged payload with the mirrored IV sequence.
 func (s *scenario) opTLSTX() error {
@@ -361,7 +396,7 @@ func (s *scenario) opTLSTX() error {
 	payload := s.payload(n)
 	chunks := l.Chunks(n)
 	for k, cn := range chunks {
-		s.cleanup = append(s.cleanup, chunkRef{s.tls.Dst + uint64(k*l.DstStride), cn + aesgcm.TagSize})
+		s.cleanup = append(s.cleanup, chunk{s.tls, uint64(k * l.DstStride), cn + aesgcm.TagSize})
 	}
 	if err := offload.StagePayloadDMA(s.sys, s.tls, payload); err != nil {
 		return s.opFailed("tls-tx stage", err, s.newTLSPair)
@@ -413,7 +448,7 @@ func (s *scenario) opTLSRX() error {
 		records = append(records, sealed)
 		lens = append(lens, cn)
 		want = append(want, pt...)
-		s.cleanup = append(s.cleanup, chunkRef{s.tls.Dst + uint64(k*l.DstStride), cn + aesgcm.TagSize})
+		s.cleanup = append(s.cleanup, chunk{s.tls, uint64(k * l.DstStride), cn + aesgcm.TagSize})
 	}
 	if err := offload.StageRXRecordsDMA(s.sys, s.tls, records); err != nil {
 		return s.opFailed("tls-rx stage", err, s.newTLSPair)
@@ -439,7 +474,7 @@ func (s *scenario) opCompTX() error {
 	payload := s.payload(n)
 	chunks := l.Chunks(n)
 	for k := range chunks {
-		s.cleanup = append(s.cleanup, chunkRef{s.comp.Dst + uint64(k*l.DstStride), core.PageSize})
+		s.cleanup = append(s.cleanup, chunk{s.comp, uint64(k * l.DstStride), core.PageSize})
 	}
 	if err := offload.StagePayloadDMA(s.sys, s.comp, payload); err != nil {
 		return s.opFailed("comp-tx stage", err, s.newComp)
@@ -489,7 +524,7 @@ func (s *scenario) opCompRX() error {
 		records = append(records, page)
 		lens = append(lens, 4+plen)
 		want = append(want, data)
-		s.cleanup = append(s.cleanup, chunkRef{s.comp.Dst + uint64(k*l.DstStride), core.PageSize})
+		s.cleanup = append(s.cleanup, chunk{s.comp, uint64(k * l.DstStride), core.PageSize})
 	}
 	if err := offload.StageRXRecordsDMA(s.sys, s.comp, records); err != nil {
 		return s.opFailed("comp-rx stage", err, s.newComp)
@@ -526,28 +561,16 @@ func (s *scenario) plainDIMMPhase() (*sim.System, error) {
 	}
 	data := s.payload(2 * dram.PageSize)
 	if _, err := psys.WriteBytes(0, 0, data); err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm write: %v", err)
+		s.tolerate("plain-dimm write", err)
 		return psys, nil
 	}
 	if _, err := psys.Hier.Flush(0, len(data)); err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm flush: %v", err)
+		s.tolerate("plain-dimm flush", err)
 		return psys, nil
 	}
 	got, _, err := psys.ReadBytes(0, 0, len(data))
 	if err != nil {
-		if tolerable(err) {
-			s.rep.Tolerated++
-			return psys, nil
-		}
-		s.violate("plain-dimm read: %v", err)
+		s.tolerate("plain-dimm read", err)
 		return psys, nil
 	}
 	if !bytes.Equal(got, data) {

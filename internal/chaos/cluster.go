@@ -23,18 +23,21 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// ClusterSoakConfig sizes one RunCluster schedule.
+// The cluster schedule's fixed shape.
+const (
+	clusterNodes = 3          // server nodes
+	clusterConns = 4          // client connections
+	warmupPs     = 2 * sim.Ms // leader election + steady state
+	chaosPs      = 6 * sim.Ms // fault window
+	settlePs     = 3 * sim.Ms // post-heal catch-up before checking
+)
+
+// ClusterSoakConfig sets how one RunCluster schedule executes.
 type ClusterSoakConfig struct {
-	Nodes       int   // server nodes (default 3)
-	Conns       int   // client connections (default 4)
-	WarmupPs    int64 // leader election + steady state (default 2ms)
-	ChaosPs     int64 // fault window (default 6ms)
-	SettlePs    int64 // post-heal catch-up before checking (default 3ms)
-	ExecWorkers int   // epoch parallelism: 0 = GOMAXPROCS, 1 = serial
-	Trace       bool  // thread per-shard tracers through the run
+	ExecWorkers int  // epoch parallelism: 0 = GOMAXPROCS, 1 = serial
+	Trace       bool // thread per-shard tracers through the run
 }
 
 // ClusterReport is one schedule's canonical outcome.
@@ -56,28 +59,15 @@ type ClusterReport struct {
 	// breaches plus soak-level liveness checks.
 	Check      cluster.CheckReport
 	Violations []string
+	// Canonical renders the whole report — the byte-compared artifact
+	// of the cluster determinism gate.
+	Canonical string
 }
 
 // Ok reports whether the schedule passed every invariant.
 func (r ClusterReport) Ok() bool { return len(r.Violations) == 0 && r.Check.Ok() }
 
-// Collect implements telemetry.Collector.
-func (r ClusterReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "nodes", Value: float64(r.Nodes)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "acked_writes", Value: float64(r.AckedWrites)})
-	emit(telemetry.Sample{Name: "acked_reads", Value: float64(r.AckedReads)})
-	emit(telemetry.Sample{Name: "timeouts", Value: float64(r.Timeouts)})
-	emit(telemetry.Sample{Name: "retries", Value: float64(r.Retries)})
-	emit(telemetry.Sample{Name: "promotions", Value: float64(r.Promotions)})
-	emit(telemetry.Sample{Name: "check_violations", Value: float64(r.Check.ViolationCount)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// String renders the canonical soak transcript — the byte-compared
-// artifact of the cluster determinism gate.
-func (r ClusterReport) String() string {
+func (r *ClusterReport) canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster chaos seed=%d nodes=%d\n", r.Seed, r.Nodes)
 	for _, s := range r.Schedule {
@@ -88,9 +78,7 @@ func (r ClusterReport) String() string {
 	fmt.Fprintf(&b, "net sent=%d dropped=%d retrans=%d delivered=%d expired=%d\n",
 		r.Net.Sent, r.Net.Dropped, r.Net.Retrans, r.Net.Delivered, r.Net.Expired)
 	b.WriteString(r.Check.String())
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
-	}
+	writeViolations(&b, r.Violations)
 	return b.String()
 }
 
@@ -111,7 +99,7 @@ type clusterSchedule struct {
 // three partition windows over random endpoint splits (router
 // included; asymmetric half the time), background per-link loss, and —
 // half the time — a drain of a surviving node.
-func deriveSchedule(rng *rand.Rand, nodes int, warmupPs, chaosPs int64) clusterSchedule {
+func deriveSchedule(rng *rand.Rand) clusterSchedule {
 	sc := clusterSchedule{drainNode: -1}
 	healPs := warmupPs + chaosPs
 	span := func(maxFrac float64) (int64, int64) {
@@ -125,7 +113,7 @@ func deriveSchedule(rng *rand.Rand, nodes int, warmupPs, chaosPs int64) clusterS
 	}
 
 	nKills := 1 + rng.Intn(2)
-	perm := rng.Perm(nodes)
+	perm := rng.Perm(clusterNodes)
 	for k := 0; k < nKills; k++ {
 		victim := perm[k]
 		from, to := span(0.4)
@@ -138,8 +126,8 @@ func deriveSchedule(rng *rand.Rand, nodes int, warmupPs, chaosPs int64) clusterS
 	for p := 0; p < nParts; p++ {
 		// Split the endpoint space (0 = router, 1+i = node i) into two
 		// non-empty sides.
-		eps := rng.Perm(nodes + 1)
-		cut := 1 + rng.Intn(nodes)
+		eps := rng.Perm(clusterNodes + 1)
+		cut := 1 + rng.Intn(clusterNodes)
 		a := append([]int(nil), eps[:cut]...)
 		b := append([]int(nil), eps[cut:]...)
 		sort.Ints(a)
@@ -175,28 +163,13 @@ func deriveSchedule(rng *rand.Rand, nodes int, warmupPs, chaosPs int64) clusterS
 // only; invariant breaches land in the report. The cluster comes back
 // alongside so callers can fingerprint its merged trace.
 func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Cluster, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 3
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 4
-	}
-	if cfg.WarmupPs <= 0 {
-		cfg.WarmupPs = 2 * sim.Ms
-	}
-	if cfg.ChaosPs <= 0 {
-		cfg.ChaosPs = 6 * sim.Ms
-	}
-	if cfg.SettlePs <= 0 {
-		cfg.SettlePs = 3 * sim.Ms
-	}
-	rep := ClusterReport{Seed: seed, Nodes: cfg.Nodes}
+	rep := ClusterReport{Seed: seed, Nodes: clusterNodes}
 
-	sched := deriveSchedule(rand.New(rand.NewSource(seed^0x5eed)), cfg.Nodes, cfg.WarmupPs, cfg.ChaosPs)
+	sched := deriveSchedule(rand.New(rand.NewSource(seed ^ 0x5eed)))
 	rep.Schedule = sched.lines
 
 	c, err := cluster.New(cluster.Config{
-		Nodes: cfg.Nodes, Conns: cfg.Conns,
+		Nodes: clusterNodes, Conns: clusterConns,
 		MsgSize: 1024, Workers: 2, NodeConns: 2,
 		FileKind: corpus.Text, Seed: seed,
 		Trace: cfg.Trace, ExecWorkers: cfg.ExecWorkers,
@@ -208,7 +181,7 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 			// per-endpoint-independent via the injector seed.
 			inj := fault.New(seed + int64(ep)*7919)
 			inj.Arm(cluster.SiteNetCut, sched.partitions)
-			for d := 0; d <= cfg.Nodes; d++ {
+			for d := 0; d <= clusterNodes; d++ {
 				if d != ep {
 					inj.Arm(fmt.Sprintf("%s.%d", cluster.SiteNetDrop, d), fault.Bernoulli{Prob: sched.lossProb})
 				}
@@ -228,9 +201,9 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 		c.UndrainAt(sched.drainNode, sched.undrainAt)
 	}
 
-	healPs := cfg.WarmupPs + cfg.ChaosPs
+	healPs := warmupPs + chaosPs
 	c.Start()
-	c.RunUntil(cfg.WarmupPs)
+	c.RunUntil(warmupPs)
 	c.BeginMeasurement()
 	c.RunUntil(healPs)          // partitions end, victims rejoined
 	c.RunUntil(healPs + sim.Ms) // post-heal serving window (availability proof)
@@ -238,7 +211,7 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 	if err != nil {
 		return rep, c, err
 	}
-	c.Quiesce(cfg.SettlePs)
+	c.Quiesce(settlePs)
 
 	rep.Ops, rep.AckedWrites, rep.AckedReads = m.Ops, m.AckedWrites, m.AckedReads
 	rep.Timeouts, rep.Retries, rep.Promotions = m.Timeouts, m.Retries, m.Promotions
@@ -257,5 +230,6 @@ func RunCluster(seed int64, cfg ClusterSoakConfig) (ClusterReport, *cluster.Clus
 	if rep.Net.Dropped == 0 {
 		rep.Violations = append(rep.Violations, "schedule dropped no messages — chaos not wired through")
 	}
+	rep.Canonical = rep.canonical()
 	return rep, c, nil
 }

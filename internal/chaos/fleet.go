@@ -23,157 +23,49 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"os"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// fleetRanks is the fleet schedule's device count: three ranks so a
-// forced failure always leaves survivors to reshard onto, while the
-// affinity policy still gets an incomplete last channel group.
+// fleetRanks is the device count of the fleet and RDMA schedules: three
+// ranks so a forced failure always leaves survivors to reshard onto,
+// while the affinity policy still gets an incomplete last channel group.
 const fleetRanks = 3
 
-// FleetReport summarizes one fleet chaos scenario.
-type FleetReport struct {
-	Seed    int64
-	Ops     int
-	Devices int
-	Policy  string
-	// Tolerated counts operations that failed with a degradable error.
-	Tolerated int
-	// Consults/Fired are the injector's totals across all sites.
-	Consults, Fired int64
-	// Trips/Readmits/Migrations/Sheds/SoftOps are the fleet's reactions.
-	Trips, Readmits, Migrations, Sheds, SoftOps uint64
-	// PrimaryOps/FallbackOps are per-chunk outcomes summed over members.
-	PrimaryOps, FallbackOps uint64
-	Violations              []string
-	// Trace is the canonical fault trace; Placement is the fleet's
-	// placement trace. Both must replay byte-identically from the seed.
-	Trace, Placement string
-	// TracePath is where RunFleetWithTrace wrote the Perfetto trace
-	// (empty for plain RunFleet).
-	TracePath string
-}
-
-// Collect implements telemetry.Collector.
-func (r FleetReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "devices", Value: float64(r.Devices)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "consults", Value: float64(r.Consults)})
-	emit(telemetry.Sample{Name: "fired", Value: float64(r.Fired)})
-	emit(telemetry.Sample{Name: "trips", Value: float64(r.Trips)})
-	emit(telemetry.Sample{Name: "readmits", Value: float64(r.Readmits)})
-	emit(telemetry.Sample{Name: "migrations", Value: float64(r.Migrations)})
-	emit(telemetry.Sample{Name: "sheds", Value: float64(r.Sheds)})
-	emit(telemetry.Sample{Name: "soft_ops", Value: float64(r.SoftOps)})
-	emit(telemetry.Sample{Name: "primary_ops", Value: float64(r.PrimaryOps)})
-	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(r.FallbackOps)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// fleetChunk is one destination region an operation may have registered,
-// tracked relative to its connection so migrations (which rewrite the
-// connection's buffer addresses) can't strand the drain phase.
-type fleetChunk struct {
-	conn *offload.Conn
-	off  uint64
-	size int
-}
-
 type fleetScenario struct {
-	rng  *rand.Rand
-	inj  *fault.Injector
-	sys  *sim.System
-	fl   *fleet.Fleet
-	base []byte
-	rep  *FleetReport
+	*harness
+	fl *fleet.Fleet
 
-	conns   []*offload.Conn // live connection per slot
-	allIDs  []int           // every id ever created (abandoned ones too)
-	nextID  int
-	op      int // current op index, for violation context
-	cleanup []fleetChunk
+	conns  []*offload.Conn // live connection per slot
+	allIDs []int           // every id ever created (abandoned ones too)
+	nextID int
+	op     int // current op index, for violation context
 }
 
 // RunFleet executes one fleet chaos scenario: ops randomized compression
 // offloads spread over several connections against a 3-rank fleet of
 // tiny devices under the seeded fault schedule, with forced member
 // failures (and natural breaker trips) mid-stream, then the
-// disarm/drain/conservation check across every device. The returned
-// error reports harness construction failures only; invariant breaches
-// land in FleetReport.Violations.
-func RunFleet(seed int64, ops int) (FleetReport, error) {
-	return runFleet(seed, ops, nil)
-}
-
-// RunFleetWithTrace is RunFleet with span tracing enabled; the Perfetto
-// trace (including fleet trip/drain/reshard instants) lands at
-// tracePath. Same-seed runs write byte-identical traces.
-func RunFleetWithTrace(seed int64, ops int, tracePath string) (FleetReport, error) {
-	tr := telemetry.New()
-	rep, err := runFleet(seed, ops, tr)
-	if err != nil {
-		return rep, err
-	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		return rep, err
-	}
-	if err := tr.WritePerfetto(f); err != nil {
-		f.Close()
-		return rep, err
-	}
-	if err := f.Close(); err != nil {
-		return rep, err
-	}
-	rep.TracePath = tracePath
-	return rep, nil
-}
-
-func runFleet(seed int64, ops int, tracer *telemetry.Tracer) (FleetReport, error) {
-	if ops <= 0 {
-		ops = 16
-	}
-	rep := FleetReport{Seed: seed, Ops: ops, Devices: fleetRanks}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.New(seed)
-	armSites(rng, inj)
-
-	dc := core.DeviceConfig{
-		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  8,
-		ConfigPages:      8,
-		DSALatencyCycles: 32,
-		MMIOPages:        1,
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		SmartDIMMRanks: fleetRanks,
-		LLCBytes:       4 << 20,
-		LLCWays:        8,
-		DeviceConfig:   &dc,
-		Faults:         inj,
-		Tracer:         tracer,
-	})
+// disarm/drain/conservation check across every device. A non-nil tracer
+// records the Perfetto trace, fleet trip/drain/reshard instants
+// included. The returned error reports harness construction failures
+// only; invariant breaches land in Report.Violations.
+func RunFleet(seed int64, ops int, tracer *telemetry.Tracer) (Report, error) {
+	rep := Report{Seed: seed, Ops: ops}
+	h, err := newHarness(&rep, fleetRanks, sim.DataPathHost, tracer, armSites)
 	if err != nil {
 		return rep, err
 	}
 
 	policies := []fleet.Policy{fleet.RoundRobin, fleet.LeastLoaded, fleet.Affinity, fleet.Sticky}
-	pol := policies[rng.Intn(len(policies))]
+	pol := policies[h.rng.Intn(len(policies))]
 	rep.Policy = pol.String()
 	fl, err := fleet.New(fleet.Config{
-		Sys:            sys,
+		Sys:            h.sys,
 		Policy:         pol,
 		TracePlacement: true,
 		// Short breaker windows so trips and readmissions both happen
@@ -186,14 +78,7 @@ func runFleet(seed int64, ops int, tracer *telemetry.Tracer) (FleetReport, error
 		return rep, err
 	}
 
-	s := &fleetScenario{
-		rng:  rng,
-		inj:  inj,
-		sys:  sys,
-		fl:   fl,
-		base: corpus.Generate(corpus.HTML, 96<<10, seed),
-		rep:  &rep,
-	}
+	s := &fleetScenario{harness: h, fl: fl}
 	for i := 0; i < 4; i++ {
 		if err := s.newConn(i, true); err != nil {
 			return rep, err
@@ -212,7 +97,7 @@ func runFleet(seed int64, ops int, tracer *telemetry.Tracer) (FleetReport, error
 				return rep, err
 			}
 			s.checkDrained(victim)
-			s.checkConservation(fmt.Sprintf("after forced failure of d%d", victim))
+			s.conserved(fl, fmt.Sprintf("after forced failure of d%d", victim))
 		}
 		s.op = i
 		if err := s.opComp(s.rng.Intn(len(s.conns))); err != nil {
@@ -220,68 +105,11 @@ func runFleet(seed int64, ops int, tracer *telemetry.Tracer) (FleetReport, error
 		}
 	}
 
-	// Drain: quiesce injection, then settle every destination chunk any
-	// operation may have left registered — USE consumes the record, the
-	// rewrite+flush swap-recycles lines whose early writeback was
-	// S7-ignored (see the single-device drain). Chunk addresses resolve
-	// through the live connection structs, so buffers that migrated
-	// between ranks are drained where they ended up.
-	s.inj.DisarmAll()
-	zeros := make([]byte, core.PageSize)
-	for _, c := range s.cleanup {
-		addr := c.conn.Dst + c.off
-		if _, _, err := s.use(addr, c.size); err != nil {
-			s.violate("drain: USE(%#x,%d) after disarm: %v", addr, c.size, err)
-		}
-		wlen := (c.size + 63) &^ 63
-		if _, err := s.sys.Driver.WriteBuffer(0, addr, zeros[:wlen]); err != nil {
-			s.violate("drain: rewrite(%#x,%d): %v", addr, wlen, err)
-		}
-		if _, err := s.sys.Hier.Flush(addr, wlen); err != nil {
-			s.violate("drain: flush(%#x,%d): %v", addr, wlen, err)
-		}
-	}
-	for i, dev := range s.sys.Devs {
-		if free := dev.ScratchpadFreePages(); free != dc.ScratchpadPages {
-			s.violate("conservation: dev %d: %d/%d scratchpad pages free after drain", i, free, dc.ScratchpadPages)
-		}
-		if free := dev.ConfigFreePages(); free != dc.ConfigPages {
-			s.violate("conservation: dev %d: %d/%d config pages free after drain", i, free, dc.ConfigPages)
-		}
-		if n := dev.TranslationCount(); n != 0 {
-			s.violate("conservation: dev %d: %d translation entries leaked", i, n)
-		}
-		if n := dev.InFlightRecords(); n != 0 {
-			s.violate("conservation: dev %d: %d records still in flight", i, n)
-		}
-	}
-	s.checkConservation("after final drain")
-	if n := s.sys.Engine.Pending(); n != 0 {
-		s.violate("engine: %d events leaked", n)
-	}
-
-	t := fl.Totals()
-	rep.Consults, rep.Fired = inj.Counts()
-	rep.Trips, rep.Readmits = t.Trips, t.Readmits
-	rep.Migrations, rep.Sheds, rep.SoftOps = t.Migrations, t.Sheds, t.SoftOps
-	rep.PrimaryOps, rep.FallbackOps = t.Degraded.PrimaryOps, t.Degraded.FallbackOps
-	rep.Trace = inj.TraceString()
-	rep.Placement = fl.TraceString()
+	s.settle()
+	s.conserved(fl, "after final drain")
+	s.fleetTotals(fl)
+	rep.Canonical = rep.canonical()
 	return rep, nil
-}
-
-func (s *fleetScenario) violate(format string, args ...interface{}) {
-	s.rep.Violations = append(s.rep.Violations, fmt.Sprintf(format, args...))
-}
-
-// checkConservation asserts the cross-fleet page invariant: allocated
-// pages over every rank driver must equal exactly what the fleet's live
-// connections hold, wherever migration has put them.
-func (s *fleetScenario) checkConservation(when string) {
-	out, exp := s.fl.OutstandingPages(), s.fl.ExpectedPages()
-	if out != exp {
-		s.violate("conservation %s: %d pages allocated across ranks, connections should hold %d", when, out, exp)
-	}
 }
 
 // checkDrained asserts no connection is still homed on a failed member.
@@ -312,34 +140,19 @@ func (s *fleetScenario) newConn(slot int, grow bool) error {
 	return nil
 }
 
-// opFailed classifies an operation failure (typed degradable errors are
-// tolerated, anything else is a violation) and renews the slot.
+// opFailed classifies an operation failure and renews the slot.
 func (s *fleetScenario) opFailed(slot int, label string, err error) error {
-	if tolerable(err) {
-		s.rep.Tolerated++
-	} else {
-		s.violate("%s: non-degradable error: %v", label, err)
-	}
+	s.tolerate(label, err)
 	return s.newConn(slot, false)
-}
-
-// payload returns a deterministic slice of the corpus.
-func (s *fleetScenario) payload(n int) []byte {
-	off := s.rng.Intn(len(s.base) - n)
-	return s.base[off : off+n]
-}
-
-// use routes a USE by address: rank 0's driver flushes and reads through
-// the shared hierarchy, so the owning rank's device sees the accesses
-// regardless of which driver struct issues them.
-func (s *fleetScenario) use(addr uint64, size int) ([]byte, int64, error) {
-	return s.sys.Driver.Use(0, addr, size)
 }
 
 // opComp compresses a message through the fleet and verifies every
 // destination page decodes back to its source chunk — whether it took
 // the home device's DSA, the CPU fallback rung, or (homeless) the soft
 // backend, and wherever rebalancing moved the connection mid-stream.
+// USEs go through rank 0's driver: it flushes and reads through the
+// shared hierarchy, so the owning rank's device sees the accesses
+// regardless of which driver struct issues them.
 func (s *fleetScenario) opComp(slot int) error {
 	conn := s.conns[slot]
 	l := offload.LayoutFor(offload.Compression)
@@ -347,7 +160,7 @@ func (s *fleetScenario) opComp(slot int) error {
 	payload := s.payload(n)
 	chunks := l.Chunks(n)
 	for k := range chunks {
-		s.cleanup = append(s.cleanup, fleetChunk{conn, uint64(k * l.DstStride), core.PageSize})
+		s.cleanup = append(s.cleanup, chunk{conn, uint64(k * l.DstStride), core.PageSize})
 	}
 	if err := offload.StagePayloadDMA(s.sys, conn, payload); err != nil {
 		return s.opFailed(slot, "fleet comp stage", err)
@@ -357,7 +170,7 @@ func (s *fleetScenario) opComp(slot int) error {
 	}
 	rest := payload
 	for k, cn := range chunks {
-		out, _, err := s.use(conn.Dst+uint64(k*l.DstStride), core.PageSize)
+		out, _, err := s.sys.Driver.Use(0, conn.Dst+uint64(k*l.DstStride), core.PageSize)
 		if err != nil {
 			return s.opFailed(slot, "fleet comp use", err)
 		}

@@ -15,9 +15,10 @@
 //     dropped, each carrying a non-empty trace slice and a timeline
 //     that correlates the cause — the breaker incident contains the
 //     injected fault note, the burn incident the autoscaler's response;
-//   - replayability: the run canonical (actions + alert log) and every
-//     incident bundle (report + trace digest) are byte-identical from
-//     the same seed, serial or pooled, at any GOMAXPROCS.
+//   - replayability: the report canonical (run canonical with actions +
+//     alert log, then every incident bundle with its trace digest) is
+//     byte-identical from the same seed, serial or pooled, at any
+//     GOMAXPROCS.
 package chaos
 
 import (
@@ -29,21 +30,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// IncidentReport is the soak's outcome.
-type IncidentReport struct {
-	Seed             int64
-	Alerts           []obs.Transition
-	AlertLog         string
-	Incidents        []obs.Incident
-	IncidentsDropped int
-	SLOHeldFrac      float64
-	Violations       []string
-	// Canonical is the run's byte-compared replay artifact; Bundles are
-	// the per-incident canonical reports (text + trace digest).
-	Canonical string
-	Bundles   []string
-}
 
 // incidentSoakConfig is the workload soak scenario with the crowd
 // hardened and the observability plane armed; seed and pool vary.
@@ -63,19 +49,12 @@ func incidentSoakConfig(seed int64, pool *runner.Pool) workload.RunConfig {
 
 // RunIncidentSoak executes the soak once. Construction failures return
 // an error; invariant breaches land in Violations.
-func RunIncidentSoak(seed int64, pool *runner.Pool) (IncidentReport, error) {
+func RunIncidentSoak(seed int64, pool *runner.Pool) (WorkloadReport, error) {
 	rep, err := workload.Run(incidentSoakConfig(seed, pool))
 	if err != nil {
-		return IncidentReport{}, err
+		return WorkloadReport{}, err
 	}
-	out := IncidentReport{
-		Seed: seed, Alerts: rep.Alerts, AlertLog: rep.AlertLog,
-		Incidents: rep.Incidents, IncidentsDropped: rep.IncidentsDropped,
-		SLOHeldFrac: rep.SLOHeldFrac, Canonical: rep.Canonical(),
-	}
-	for _, in := range rep.Incidents {
-		out.Bundles = append(out.Bundles, in.Canonical())
-	}
+	out := WorkloadReport{Seed: seed, Run: rep}
 	v := func(format string, args ...any) {
 		out.Violations = append(out.Violations, fmt.Sprintf(format, args...))
 	}
@@ -146,6 +125,7 @@ func RunIncidentSoak(seed int64, pool *runner.Pool) (IncidentReport, error) {
 	if rep.Completed == 0 {
 		v("no requests completed")
 	}
-	checkNoFlap(splitActions(rep.Actions), v)
+	checkNoFlap(rep.Actions, v)
+	out.Canonical = out.canonical()
 	return out, nil
 }

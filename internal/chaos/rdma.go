@@ -16,78 +16,28 @@
 // was addressed to (no record outside its MR); WQE conservation — posted
 // equals completed + failed + pending throughout, and pending is zero
 // after disarm + drain; cross-rank page conservation over the fleet; no
-// leaked engine events; and the report's combined trace (injector + NIC
-// + placement) replays byte-identically from the seed.
+// leaked engine events; every device's pools back at their configured
+// sizes; and the report's fault, NIC-op and placement traces replay
+// byte-identically from the seed.
 package chaos
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
-// rdmaRanks matches the fleet schedule: failures always leave survivors.
-const rdmaRanks = 3
-
-// RDMAReport summarizes one RDMA chaos scenario.
-type RDMAReport struct {
-	Seed    int64
-	Ops     int
-	Devices int
-	Policy  string
-	// Tolerated counts deposits that failed with a degradable error
-	// (retry exhaustion under injected doorbell loss / RNR).
-	Tolerated int
-	// Consults/Fired are the injector's totals across all sites.
-	Consults, Fired int64
-	// NIC counters after the final drain.
-	Posted, Completed, Failed    uint64
-	DoorbellsLost, RNRNaks       uint64
-	StaleRetries, BoundsRefusals uint64
-	PeerBytes                    uint64
-	Migrations                   uint64
-	Violations                   []string
-	// Trace concatenates the fault, NIC-op, and placement traces; it
-	// must replay byte-identically from the seed.
-	Trace string
-}
-
-// Collect implements telemetry.Collector.
-func (r RDMAReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "ops", Value: float64(r.Ops)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "posted", Value: float64(r.Posted)})
-	emit(telemetry.Sample{Name: "completed", Value: float64(r.Completed)})
-	emit(telemetry.Sample{Name: "failed", Value: float64(r.Failed)})
-	emit(telemetry.Sample{Name: "doorbells_lost", Value: float64(r.DoorbellsLost)})
-	emit(telemetry.Sample{Name: "rnr_naks", Value: float64(r.RNRNaks)})
-	emit(telemetry.Sample{Name: "stale_retries", Value: float64(r.StaleRetries)})
-	emit(telemetry.Sample{Name: "bounds_refusals", Value: float64(r.BoundsRefusals)})
-	emit(telemetry.Sample{Name: "migrations", Value: float64(r.Migrations)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
 type rdmaScenario struct {
-	rng   *rand.Rand
-	inj   *fault.Injector
-	sys   *sim.System
+	*harness
 	nic   *rdma.NIC
 	fl    *fleet.Fleet
 	bkend *offload.RDMA
-	base  []byte
-	rep   *RDMAReport
 	conns []*offload.Conn
 	op    int
 }
@@ -97,48 +47,29 @@ type rdmaScenario struct {
 // armed, plus the two forced races (MR unregister in flight, peer write
 // across a drain-and-reshard migration), then disarm + drain + the full
 // invariant sweep. The returned error reports harness construction
-// failures only; invariant breaches land in RDMAReport.Violations.
-func RunRDMA(seed int64, ops int) (RDMAReport, error) {
-	if ops <= 0 {
-		ops = 16
-	}
-	rep := RDMAReport{Seed: seed, Ops: ops, Devices: rdmaRanks}
-	rng := rand.New(rand.NewSource(seed))
-	inj := fault.New(seed)
+// failures only; invariant breaches land in Report.Violations.
+func RunRDMA(seed int64, ops int) (Report, error) {
+	rep := Report{Seed: seed, Ops: ops}
 	// The two RDMA sites get schedules drawn from the scenario RNG, so a
 	// soak covers quiet, bursty, and saturated fault regimes.
-	inj.Arm(rdma.SiteDoorbell, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
-	inj.Arm(rdma.SiteRNR, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
-
-	dc := core.DeviceConfig{
-		Geometry:         dram.SmallGeometry(),
-		ScratchpadPages:  8,
-		ConfigPages:      8,
-		DSALatencyCycles: 32,
-		MMIOPages:        1,
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		SmartDIMMRanks: rdmaRanks,
-		LLCBytes:       4 << 20,
-		LLCWays:        8,
-		DeviceConfig:   &dc,
-		DataPath:       sim.DataPathPeer,
-		Faults:         inj,
+	h, err := newHarness(&rep, fleetRanks, sim.DataPathPeer, nil, func(rng *rand.Rand, inj *fault.Injector) {
+		inj.Arm(rdma.SiteDoorbell, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
+		inj.Arm(rdma.SiteRNR, fault.Bernoulli{Prob: 0.02 + 0.2*rng.Float64()})
 	})
 	if err != nil {
 		return rep, err
 	}
 	nic, err := rdma.New(rdma.Config{
-		Sys: sys, Faults: inj, TraceOps: true, RecordLandings: true,
+		Sys: h.sys, Faults: h.inj, TraceOps: true, RecordLandings: true,
 	})
 	if err != nil {
 		return rep, err
 	}
 	policies := []fleet.Policy{fleet.RoundRobin, fleet.LeastLoaded, fleet.Sticky}
-	pol := policies[rng.Intn(len(policies))]
+	pol := policies[h.rng.Intn(len(policies))]
 	rep.Policy = pol.String()
 	fl, err := fleet.New(fleet.Config{
-		Sys: sys, Policy: pol, RNIC: nic, TracePlacement: true,
+		Sys: h.sys, Policy: pol, RNIC: nic, TracePlacement: true,
 		FailThreshold: 2, CooldownOps: 8, MigrateCooldownOps: 2,
 	})
 	if err != nil {
@@ -149,11 +80,7 @@ func RunRDMA(seed int64, ops int) (RDMAReport, error) {
 		return rep, err
 	}
 
-	s := &rdmaScenario{
-		rng: rng, inj: inj, sys: sys, nic: nic, fl: fl, bkend: bkend,
-		base: corpus.Generate(corpus.HTML, 96<<10, seed),
-		rep:  &rep,
-	}
+	s := &rdmaScenario{harness: h, nic: nic, fl: fl, bkend: bkend}
 	for i := 0; i < 4; i++ {
 		conn, err := bkend.NewConn(offload.Compression, i, compMsg)
 		if err != nil {
@@ -187,26 +114,18 @@ func RunRDMA(seed int64, ops int) (RDMAReport, error) {
 	}
 	s.checkWQEConservation("after disarm+drain")
 	s.checkLandings()
-	if out, exp := fl.OutstandingPages(), fl.ExpectedPages(); out != exp {
-		s.violate("conservation: %d pages allocated across ranks, connections should hold %d", out, exp)
-	}
-	if n := sys.Engine.Pending(); n != 0 {
-		s.violate("engine: %d events leaked", n)
-	}
+	s.conserved(fl, "after disarm+drain")
+	s.settle()
 
 	st := nic.Stats()
-	rep.Consults, rep.Fired = inj.Counts()
 	rep.Posted, rep.Completed, rep.Failed = st.Posted, st.Completed, st.Failed
 	rep.DoorbellsLost, rep.RNRNaks = st.DoorbellsLost, st.RNRNaks
 	rep.StaleRetries, rep.BoundsRefusals = st.StaleRkeyRetries, st.BoundsRefusals
 	rep.PeerBytes = st.PeerBytes
-	rep.Migrations = fl.Totals().Migrations
-	rep.Trace = inj.TraceString() + nic.TraceString() + fl.TraceString()
+	rep.NICTrace = nic.TraceString()
+	s.fleetTotals(fl)
+	rep.Canonical = rep.canonical()
 	return rep, nil
-}
-
-func (s *rdmaScenario) violate(format string, args ...interface{}) {
-	s.rep.Violations = append(s.rep.Violations, fmt.Sprintf(format, args...))
 }
 
 // opDeposit streams one payload through the peer path. A few percent of
@@ -335,12 +254,6 @@ func (s *rdmaScenario) readmitAll() {
 			s.violate("op %d: readmit d%d: %v", s.op, i, err)
 		}
 	}
-}
-
-// payload returns a deterministic slice of the corpus.
-func (s *rdmaScenario) payload(n int) []byte {
-	off := s.rng.Intn(len(s.base) - n)
-	return s.base[off : off+n]
 }
 
 // checkWQEConservation asserts posted == completed + failed + pending.

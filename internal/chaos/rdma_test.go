@@ -64,34 +64,8 @@ func TestRDMASoak(t *testing.T) {
 		n, fired, posted, completed, failed, lost, naks, stale, bounds, migrations, tolerated)
 }
 
-// TestRDMASameSeedSameTrace replays a schedule and requires the
-// combined injector + NIC + placement trace and the whole report to
-// reproduce byte-for-byte.
-func TestRDMASameSeedSameTrace(t *testing.T) {
-	for _, seed := range []int64{13, 1313, 131313} {
-		a, err := RunRDMA(seed, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunRDMA(seed, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Trace == "" || a.Trace != b.Trace {
-			t.Fatalf("seed %d: trace not reproducible (%d vs %d bytes)", seed, len(a.Trace), len(b.Trace))
-		}
-		if a.Posted != b.Posted || a.Completed != b.Completed || a.Failed != b.Failed ||
-			a.DoorbellsLost != b.DoorbellsLost || a.RNRNaks != b.RNRNaks ||
-			a.StaleRetries != b.StaleRetries || a.PeerBytes != b.PeerBytes ||
-			a.Migrations != b.Migrations || a.Tolerated != b.Tolerated ||
-			len(a.Violations) != len(b.Violations) {
-			t.Fatalf("seed %d: reports diverge:\n%+v\n%+v", seed, a, b)
-		}
-	}
-}
-
 // TestRDMANoInjectionBaseline checks the harness itself: a single-op
-// scenario must pass clean.
+// scenario under seed 7's schedule must pass clean.
 func TestRDMANoInjectionBaseline(t *testing.T) {
 	rep, err := RunRDMA(7, 1)
 	if err != nil {

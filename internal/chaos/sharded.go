@@ -21,7 +21,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // ShardedReport summarizes one sharded chaos soak.
@@ -44,28 +43,12 @@ type ShardedReport struct {
 	// per-shard canonical fault traces.
 	PerShard []string
 	Traces   []string
+	// Canonical renders the whole report; the same seed must reproduce
+	// it byte for byte under any execution schedule.
+	Canonical string
 }
 
-// Collect implements telemetry.Collector.
-func (r ShardedReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "shards", Value: float64(r.Shards)})
-	emit(telemetry.Sample{Name: "requests", Value: float64(r.Requests)})
-	emit(telemetry.Sample{Name: "errors", Value: float64(r.Errors)})
-	emit(telemetry.Sample{Name: "tolerated", Value: float64(r.Tolerated)})
-	emit(telemetry.Sample{Name: "consults", Value: float64(r.Consults)})
-	emit(telemetry.Sample{Name: "fired", Value: float64(r.Fired)})
-	emit(telemetry.Sample{Name: "trips", Value: float64(r.Trips)})
-	emit(telemetry.Sample{Name: "readmits", Value: float64(r.Readmits)})
-	emit(telemetry.Sample{Name: "fallback_ops", Value: float64(r.FallbackOps)})
-	emit(telemetry.Sample{Name: "epochs", Value: float64(r.Epochs)})
-	emit(telemetry.Sample{Name: "cross_shard_msgs", Value: float64(r.CrossMsgs)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
-}
-
-// String renders the canonical soak transcript. Two runs of the same
-// seed must produce identical strings regardless of execution schedule.
-func (r ShardedReport) String() string {
+func (r *ShardedReport) canonical() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sharded chaos seed=%d shards=%d\n", r.Seed, r.Shards)
 	fmt.Fprintf(&b, "requests=%d errors=%d tolerated=%d\n", r.Requests, r.Errors, r.Tolerated)
@@ -79,9 +62,7 @@ func (r ShardedReport) String() string {
 	for s, tr := range r.Traces {
 		fmt.Fprintf(&b, "-- shard %d fault trace --\n%s", s, tr)
 	}
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "VIOLATION: %s\n", v)
-	}
+	writeViolations(&b, r.Violations)
 	return b.String()
 }
 
@@ -99,37 +80,33 @@ func armServingSites(rng *rand.Rand, inj *fault.Injector) {
 	}
 }
 
+// The sharded soak's fixed shape: two server shards, four connections
+// each.
+const (
+	soakShards      = 2
+	soakConnections = 4 * soakShards
+)
+
 // ShardedSoakConfig sizes a RunSharded soak.
 type ShardedSoakConfig struct {
-	Shards      int   // server shards (default 2)
-	Connections int   // total connections (default 4*Shards)
 	ExecWorkers int   // epoch parallelism: 0 = GOMAXPROCS, 1 = serial reference
-	MeasurePs   int64 // measurement window (default 2ms)
+	MeasurePs   int64 // measurement window
 	Trace       bool  // thread per-shard span tracers through the run
 }
 
 // RunSharded executes one sharded chaos soak: a compressed-HTTP serving
-// workload over Shards fault-injected sub-systems, the standard
+// workload over two fault-injected sub-systems, the standard
 // warmup/measure protocol, then invariant checks per shard. The
 // returned error reports harness construction failures only; invariant
 // breaches land in ShardedReport.Violations. The cluster is returned
 // alongside so callers can fingerprint its merged trace.
 func RunSharded(seed int64, cfg ShardedSoakConfig) (ShardedReport, *fleet.Sharded, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Connections <= 0 {
-		cfg.Connections = 4 * cfg.Shards
-	}
-	if cfg.MeasurePs <= 0 {
-		cfg.MeasurePs = 2 * sim.Ms
-	}
-	rep := ShardedReport{Seed: seed, Shards: cfg.Shards}
+	rep := ShardedReport{Seed: seed, Shards: soakShards}
 
-	injs := make([]*fault.Injector, cfg.Shards)
+	injs := make([]*fault.Injector, soakShards)
 	sc, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: cfg.Shards, Workers: 4,
-		MsgSize: 2048, Connections: cfg.Connections,
+		Shards: soakShards, Workers: 4,
+		MsgSize: 2048, Connections: soakConnections,
 		FileKind: corpus.HTML, Mode: server.CompressedHTTP, Seed: seed,
 		ExecWorkers: cfg.ExecWorkers,
 		Trace:       cfg.Trace,
@@ -196,9 +173,10 @@ func RunSharded(seed int64, cfg ShardedSoakConfig) (ShardedReport, *fleet.Sharde
 	}
 	rep.Epochs = sc.Engine().Epochs()
 	rep.CrossMsgs = sc.Engine().Sent()
-	if rep.Requests > 0 && rep.CrossMsgs < 2*(rep.Requests-uint64(cfg.Connections)) {
+	if rep.Requests > 0 && rep.CrossMsgs < 2*(rep.Requests-soakConnections) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
 			"dispatch fabric undercounted: %d msgs for %d requests", rep.CrossMsgs, rep.Requests))
 	}
+	rep.Canonical = rep.canonical()
 	return rep, sc, nil
 }

@@ -1,61 +1,16 @@
 package chaos
 
 import (
-	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// shardedSoak runs one traced soak and returns the canonical report
-// string plus the merged trace bytes.
-func shardedSoak(t *testing.T, seed int64, execWorkers int) (string, []byte) {
-	t.Helper()
-	rep, sc, err := RunSharded(seed, ShardedSoakConfig{
-		Shards: 2, ExecWorkers: execWorkers, MeasurePs: sim.Ms, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("seed %d: %s", seed, v)
-	}
-	var b bytes.Buffer
-	if err := sc.MergedTrace().WritePerfetto(&b); err != nil {
-		t.Fatal(err)
-	}
-	return rep.String(), b.Bytes()
-}
-
-// TestShardedChaosDeterministic is the fault-injected shard determinism
-// gate: the soak's report and merged trace are byte-identical across the
-// serial reference schedule, full parallelism, and GOMAXPROCS=2.
-func TestShardedChaosDeterministic(t *testing.T) {
-	refRep, refTrace := shardedSoak(t, 42, 1)
-	gotRep, gotTrace := shardedSoak(t, 42, 4)
-	if gotRep != refRep {
-		t.Fatalf("parallel soak report diverged:\n--- serial ---\n%.600s\n--- parallel ---\n%.600s", refRep, gotRep)
-	}
-	if !bytes.Equal(gotTrace, refTrace) {
-		t.Fatal("parallel soak trace diverged from serial reference")
-	}
-	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	gotRep, gotTrace = shardedSoak(t, 42, 0)
-	if gotRep != refRep {
-		t.Fatal("GOMAXPROCS=2 soak report diverged from serial reference")
-	}
-	if !bytes.Equal(gotTrace, refTrace) {
-		t.Fatal("GOMAXPROCS=2 soak trace diverged from serial reference")
-	}
-}
-
-// TestShardedChaosSoak sweeps seeds serially and parallel, checking
+// TestShardedChaosSoak sweeps seeds at full parallelism, checking
 // invariants inside RunSharded and that faults actually land.
 func TestShardedChaosSoak(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		rep, _, err := RunSharded(seed, ShardedSoakConfig{ExecWorkers: 0})
+		rep, _, err := RunSharded(seed, ShardedSoakConfig{MeasurePs: 2 * sim.Ms})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

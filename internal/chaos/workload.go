@@ -22,44 +22,34 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/autoscale"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/wrkgen"
 )
 
-// WorkloadReport is the soak's outcome.
+// WorkloadReport is the outcome of a workload-level soak
+// (RunWorkloadSoak or RunIncidentSoak).
 type WorkloadReport struct {
-	Seed        int64
-	Kind        string
-	Issued      uint64
-	Completed   uint64
-	SLOHeldFrac float64
-	Admits      uint64 // administrative (autoscaler) admissions
-	Drains      uint64 // administrative drains
-	Trips       uint64 // breaker trips (the injected fault)
-	Actions     int
-	FinalActive int
-	Violations  []string
-	// Canonical is the run's byte-compared replay artifact.
+	Seed       int64
+	Run        workload.Report
+	Violations []string
+	// Canonical is the byte-compared replay artifact: the run canonical,
+	// every incident bundle (report + trace digest), the violations.
 	Canonical string
 }
 
-// Collect implements telemetry.Collector.
-func (r WorkloadReport) Collect(emit func(telemetry.Sample)) {
-	emit(telemetry.Sample{Name: "seed", Value: float64(r.Seed)})
-	emit(telemetry.Sample{Name: "issued", Value: float64(r.Issued)})
-	emit(telemetry.Sample{Name: "completed", Value: float64(r.Completed)})
-	emit(telemetry.Sample{Name: "slo_held_frac", Value: r.SLOHeldFrac})
-	emit(telemetry.Sample{Name: "admits", Value: float64(r.Admits)})
-	emit(telemetry.Sample{Name: "drains", Value: float64(r.Drains)})
-	emit(telemetry.Sample{Name: "trips", Value: float64(r.Trips)})
-	emit(telemetry.Sample{Name: "actions", Value: float64(r.Actions)})
-	emit(telemetry.Sample{Name: "final_active", Value: float64(r.FinalActive)})
-	emit(telemetry.Sample{Name: "violations", Value: float64(len(r.Violations))})
+func (r *WorkloadReport) canonical() string {
+	var b strings.Builder
+	b.WriteString(r.Run.Canonical())
+	for i, in := range r.Run.Incidents {
+		fmt.Fprintf(&b, "-- incident %d --\n%s", i, in.Canonical())
+	}
+	writeViolations(&b, r.Violations)
+	return b.String()
 }
 
 // workloadSoakConfig is the pinned scenario; seed and pool vary.
@@ -101,16 +91,7 @@ func RunWorkloadSoak(seed int64, pool *runner.Pool) (WorkloadReport, error) {
 	if err != nil {
 		return WorkloadReport{}, err
 	}
-	out := WorkloadReport{
-		Seed: seed, Kind: rep.Kind,
-		Issued: rep.Issued, Completed: rep.Completed,
-		SLOHeldFrac: rep.SLOHeldFrac,
-		Admits:      rep.Fleet.AdminAdmits, Drains: rep.Fleet.AdminDrains,
-		Trips:       rep.Fleet.Trips,
-		Actions:     len(splitActions(rep.Actions)),
-		FinalActive: rep.FinalActive,
-		Canonical:   rep.Canonical(),
-	}
+	out := WorkloadReport{Seed: seed, Run: rep}
 	v := func(format string, args ...any) {
 		out.Violations = append(out.Violations, fmt.Sprintf(format, args...))
 	}
@@ -122,10 +103,10 @@ func RunWorkloadSoak(seed int64, pool *runner.Pool) (WorkloadReport, error) {
 	}
 	// The InitialActive=2 park counts as 2 drains; the crowd must force
 	// at least one admission beyond that.
-	if out.Admits == 0 {
+	if rep.Fleet.AdminAdmits == 0 {
 		v("flash crowd never scaled up (0 admits)")
 	}
-	if out.Trips == 0 {
+	if rep.Fleet.Trips == 0 {
 		v("injected fault never tripped the breaker")
 	}
 	if rep.SLOHeldFrac < 0.5 {
@@ -134,23 +115,9 @@ func RunWorkloadSoak(seed int64, pool *runner.Pool) (WorkloadReport, error) {
 	if !rep.PagesOK {
 		v("page conservation violated across rank drivers")
 	}
-	checkNoFlap(splitActions(rep.Actions), v)
+	checkNoFlap(rep.Actions, v)
+	out.Canonical = out.canonical()
 	return out, nil
-}
-
-// splitActions breaks the action trace into lines.
-func splitActions(trace string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(trace); i++ {
-		if trace[i] == '\n' {
-			if i > start {
-				out = append(out, trace[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // checkNoFlap flags opposite-direction actions landing closer together
@@ -160,23 +127,12 @@ func splitActions(trace string) []string {
 // that says the controller thrashed.
 const flapWindowPs = sim.Ms
 
-func checkNoFlap(actions []string, v func(string, ...any)) {
-	type act struct {
-		at   int64
-		what string
-	}
-	parsed := make([]act, 0, len(actions))
-	for _, line := range actions {
-		var a act
-		if _, err := fmt.Sscanf(line, "%d %s", &a.at, &a.what); err == nil {
-			parsed = append(parsed, a)
-		}
-	}
-	for i := 1; i < len(parsed); i++ {
-		a, b := parsed[i-1], parsed[i]
-		opposite := (a.what == "admit" && b.what == "drain") || (a.what == "drain" && b.what == "admit")
-		if opposite && b.at-a.at < flapWindowPs {
-			v("flap: %q then %q within %dus", actions[i-1], actions[i], (b.at-a.at)/sim.Us)
+func checkNoFlap(actions []autoscale.Action, v func(string, ...any)) {
+	for i := 1; i < len(actions); i++ {
+		a, b := actions[i-1], actions[i]
+		opposite := (a.What == "admit" && b.What == "drain") || (a.What == "drain" && b.What == "admit")
+		if opposite && b.AtPs-a.AtPs < flapWindowPs {
+			v("flap: %q then %q within %dus", a, b, (b.AtPs-a.AtPs)/sim.Us)
 		}
 	}
 	if len(actions) > 12 {

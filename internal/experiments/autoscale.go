@@ -89,20 +89,15 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 	}
 	// Pin each controller decision onto the tick it fired at (actions
 	// land exactly on tick instants).
-	var at int64
-	var what string
-	for _, line := range splitLines(rep.Actions) {
-		if _, err := fmt.Sscanf(line, "%d %s", &at, &what); err != nil {
-			continue
-		}
-		idx := int(at/tickPs) - 1
+	for _, a := range rep.Actions {
+		idx := int(a.AtPs/tickPs) - 1
 		if idx < 0 || idx >= len(res.Points) {
 			continue
 		}
 		if res.Points[idx].Mark != "" {
 			res.Points[idx].Mark += ", "
 		}
-		res.Points[idx].Mark += what
+		res.Points[idx].Mark += a.What
 	}
 	// Alert transitions land on scrape instants — tick instants here, the
 	// scraper defaulting to the control interval.
@@ -117,20 +112,6 @@ func Autoscale(seed int64) (AutoscaleResult, error) {
 		res.Points[idx].Mark += fmt.Sprintf("[%s %s->%s]", tr.Rule, tr.From, tr.To)
 	}
 	return res, nil
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // WriteAutoscaleTimeline renders the per-tick series with the crowd

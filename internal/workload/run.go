@@ -132,7 +132,7 @@ type Report struct {
 	Gets, Sets, Gathers uint64
 	// Autoscaler outcome (zero-valued without Scale).
 	SLOHeldFrac    float64
-	Actions        string // autoscale.Controller.TraceString
+	Actions        []autoscale.Action // the controller's decision log
 	ActiveTimeline []int
 	P99Timeline    []float64 // observed tail per control tick
 	Placement      string    // fleet placement trace (TracePlacement only)
@@ -179,7 +179,10 @@ func (r Report) Canonical() string {
 	fmt.Fprintf(&b, "slo_held %g\n", r.SLOHeldFrac)
 	fmt.Fprintf(&b, "active_timeline %v\n", r.ActiveTimeline)
 	b.WriteString("--- actions ---\n")
-	b.WriteString(r.Actions)
+	for _, a := range r.Actions {
+		b.WriteString(a.String())
+		b.WriteByte('\n')
+	}
 	b.WriteString("--- alerts ---\n")
 	b.WriteString(r.AlertLog)
 	fmt.Fprintf(&b, "incidents %d dropped %d\n", len(r.Incidents), r.IncidentsDropped)
@@ -392,7 +395,7 @@ func Run(cfg RunConfig) (Report, error) {
 	}
 	if ctl != nil {
 		rep.SLOHeldFrac = ctl.SLOHeldFrac()
-		rep.Actions = ctl.TraceString()
+		rep.Actions = ctl.Actions
 		// The figure timelines come from the series store: the control
 		// tick is every tickEvery-th scrape, so every tickEvery-th point
 		// of a series is its value at a tick.
