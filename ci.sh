@@ -112,7 +112,7 @@ tracestat -             TestGoToolPprofAcceptsExport  ./internal/profile/
 shard     -race         Shard  ./internal/sim/ ./internal/fleet/ ./internal/chaos/
 shard     -race         TestSoakReplay/^sharded$  ./internal/chaos/
 cluster   -race,-short  TestClusterSoakSchedules  ./internal/chaos/
-cluster   -race,-short  TestSoakReplay/^cluster$  ./internal/chaos/
+cluster   -race,-short  TestClusterSoakDeterministic|TestClusterScheduleDerivation  ./internal/chaos/
 cluster   -race         TestClusterDeterministicAcrossWorkers|TestClusterServesLinearizably  ./internal/cluster/
 rdma      -race         RDMA  ./internal/rdma/ ./internal/nettcp/ ./internal/fleet/ ./internal/experiments/
 rdma      -race,-short  TestRDMASoak  ./internal/chaos/

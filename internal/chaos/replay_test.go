@@ -45,19 +45,68 @@ func workloadReplay(rep WorkloadReport, err error) (replay, error) {
 	return replay{canonical: rep.Canonical, violations: rep.Violations}, err
 }
 
-// TestSoakReplay is the replay gate of every soak: each seed renders a
-// byte-identical canonical report (and merged trace, where the soak has
-// one) under every execution schedule the soak supports, with no
-// violation, and a different seed renders a different report.
+// soak is one row of the replay gate: the seeds it replays, the
+// execution schedules they must replay under, and how to run it.
+type soak struct {
+	name     string
+	long     bool    // skipped under -short
+	seeds    []int64 // each replayed under every setting
+	other    int64   // must render a different report than seeds[0]; 0 = not checked
+	settings []setting
+	run      func(seed int64, workers int) (replay, error)
+}
+
+// checkReplay requires each of tc's seeds to render a byte-identical
+// canonical report (and merged trace, where the soak has one) under
+// every setting, with no violation, and tc.other to render a different
+// report.
+func checkReplay(t *testing.T, tc soak) {
+	t.Helper()
+	if tc.long && testing.Short() {
+		t.Skip("replay soak is the long half of the gate")
+	}
+	run := func(seed int64, s setting) replay {
+		t.Helper()
+		if s.procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.procs))
+		}
+		r, err := tc.run(seed, s.workers)
+		if err != nil {
+			t.Fatalf("seed %d %+v: harness error: %v", seed, s, err)
+		}
+		return r
+	}
+	var first string
+	for _, seed := range tc.seeds {
+		ref := run(seed, tc.settings[0])
+		for _, v := range ref.violations {
+			t.Errorf("seed %d: %s", seed, v)
+		}
+		for _, s := range tc.settings[1:] {
+			got := run(seed, s)
+			if got.canonical != ref.canonical {
+				t.Fatalf("seed %d: report under %+v differs from %+v:\n--- reference ---\n%s--- replay ---\n%s",
+					seed, s, tc.settings[0], ref.canonical, got.canonical)
+			}
+			if !bytes.Equal(got.trace, ref.trace) {
+				t.Fatalf("seed %d: trace under %+v differs from %+v (%d vs %d bytes)",
+					seed, s, tc.settings[0], len(got.trace), len(ref.trace))
+			}
+		}
+		if first == "" {
+			first = ref.canonical
+		}
+	}
+	if tc.other != 0 && run(tc.other, tc.settings[0]).canonical == first {
+		t.Fatalf("seeds %d and %d rendered identical reports", tc.seeds[0], tc.other)
+	}
+}
+
+// TestSoakReplay is the replay gate of the device, sharded and workload
+// soaks, one subtest per soak; the cluster soak's replay gate is
+// TestClusterSoakDeterministic and TestClusterScheduleDerivation.
 func TestSoakReplay(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		long     bool    // skipped under -short
-		seeds    []int64 // each replayed under every setting
-		other    int64   // must render a different report than seeds[0]
-		settings []setting
-		run      func(seed int64, workers int) (replay, error)
-	}{
+	for _, tc := range []soak{
 		{"chaos", false, []int64{42, 4242, 424242}, 1000, serialTwice, func(seed int64, _ int) (replay, error) {
 			tr := telemetry.New()
 			r, err := deviceReplay(Run(seed, 12, tr))
@@ -80,13 +129,6 @@ func TestSoakReplay(t *testing.T) {
 			}
 			return replay{rep.Canonical, sc.MergedTrace().PerfettoJSON(), rep.Violations}, nil
 		}},
-		{"cluster", false, []int64{424242, 77}, 78, engineSettings, func(seed int64, workers int) (replay, error) {
-			rep, c, err := RunCluster(seed, ClusterSoakConfig{ExecWorkers: workers, Trace: true})
-			if err != nil {
-				return replay{}, err
-			}
-			return replay{rep.Canonical, c.MergedTrace().PerfettoJSON(), rep.Violations}, nil
-		}},
 		{"workload", true, []int64{11}, 12, poolSettings, func(seed int64, workers int) (replay, error) {
 			return workloadReplay(RunWorkloadSoak(seed, pool(workers)))
 		}},
@@ -94,45 +136,28 @@ func TestSoakReplay(t *testing.T) {
 			return workloadReplay(RunIncidentSoak(seed, pool(workers)))
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.long && testing.Short() {
-				t.Skip("replay soak is the long half of the gate")
-			}
-			run := func(seed int64, s setting) replay {
-				t.Helper()
-				if s.procs > 0 {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.procs))
-				}
-				r, err := tc.run(seed, s.workers)
-				if err != nil {
-					t.Fatalf("seed %d %+v: harness error: %v", seed, s, err)
-				}
-				return r
-			}
-			var first string
-			for _, seed := range tc.seeds {
-				ref := run(seed, tc.settings[0])
-				for _, v := range ref.violations {
-					t.Errorf("seed %d: %s", seed, v)
-				}
-				for _, s := range tc.settings[1:] {
-					got := run(seed, s)
-					if got.canonical != ref.canonical {
-						t.Fatalf("seed %d: report under %+v differs from %+v:\n--- reference ---\n%s--- replay ---\n%s",
-							seed, s, tc.settings[0], ref.canonical, got.canonical)
-					}
-					if !bytes.Equal(got.trace, ref.trace) {
-						t.Fatalf("seed %d: trace under %+v differs from %+v (%d vs %d bytes)",
-							seed, s, tc.settings[0], len(got.trace), len(ref.trace))
-					}
-				}
-				if first == "" {
-					first = ref.canonical
-				}
-			}
-			if run(tc.other, tc.settings[0]).canonical == first {
-				t.Fatalf("seeds %d and %d rendered identical reports", tc.seeds[0], tc.other)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkReplay(t, tc) })
 	}
+}
+
+// clusterReplay runs one traced cluster schedule.
+func clusterReplay(seed int64, workers int) (replay, error) {
+	rep, c, err := RunCluster(seed, ClusterSoakConfig{ExecWorkers: workers, Trace: true})
+	if err != nil {
+		return replay{}, err
+	}
+	return replay{rep.Canonical, c.MergedTrace().PerfettoJSON(), rep.Violations}, nil
+}
+
+// TestClusterSoakDeterministic is the cluster trace gate: the same
+// chaos schedule renders a byte-identical report and merged trace
+// under serial execution, parallel execution, and GOMAXPROCS=2.
+func TestClusterSoakDeterministic(t *testing.T) {
+	checkReplay(t, soak{seeds: []int64{424242}, settings: engineSettings, run: clusterReplay})
+}
+
+// TestClusterScheduleDerivation pins seed-replayability of the plan
+// itself: same seed, same report; different seed, different plan.
+func TestClusterScheduleDerivation(t *testing.T) {
+	checkReplay(t, soak{seeds: []int64{77}, other: 78, settings: serialTwice, run: clusterReplay})
 }
