@@ -7,6 +7,7 @@
 //	figures               # all experiments at quick scale
 //	figures -fig 11       # one figure
 //	figures -fig 2b       # bursty-loss variant of Fig. 2 (not in "all")
+//	figures -fig castrace > trace.dat # raw Fig. 9 CAS rows for gnuplot (not in "all")
 //	figures -fig scale    # fleet scaling, 1-8 SmartDIMM ranks (not in "all")
 //	figures -fig shard    # sharded-engine wall-clock scaling (not in "all")
 //	figures -fig failover # cluster availability across a node kill (not in "all")
@@ -19,6 +20,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +38,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate (2,2b,3,9,10,11,12,13,scale,shard,failover,breakdown,critpath,rdma,autoscale,incident); empty = all (non-paper figures excluded)")
+	fig := flag.String("fig", "", "figure to regenerate (2,2b,3,9,castrace,10,11,12,13,scale,shard,failover,breakdown,critpath,rdma,autoscale,incident); empty = all (non-paper figures excluded)")
 	table := flag.Int("table", 0, "table number to regenerate (1); 0 = all")
 	pow := flag.Bool("power", false, "print the §VII-D power/area model")
 	scale := flag.String("scale", "quick", "workload scale: quick or paper")
@@ -97,6 +99,9 @@ func main() {
 	}
 	if run(9) {
 		fig9()
+	}
+	if *fig == "castrace" {
+		figCASTrace()
 	}
 	if run(10) {
 		fig10(pool, sc)
@@ -355,8 +360,29 @@ func fig9() {
 	for c := 0; c < 4; c++ {
 		fmt.Printf("core %d mean monotonic rdCAS run: %.1f cachelines\n", c, res.MeanRunLen[c])
 	}
-	fmt.Println("(use cmd/tracegen to dump the raw scatter for plotting)")
+	fmt.Println("(use figures -fig castrace to dump the raw scatter for plotting)")
 	fmt.Println()
+}
+
+// figCASTrace dumps the Fig. 9 CAS trace as "time_ps kind phys_addr
+// core" rows on stdout and its summary on stderr:
+//
+//	figures -fig castrace > trace.dat
+//	gnuplot -e "plot 'trace.dat' using 1:3 with dots"
+func figCASTrace() {
+	res, err := experiments.Fig9()
+	if err != nil {
+		fail(err)
+	}
+	w := bufio.NewWriter(os.Stdout)
+	if err := res.Trace.Dump(w); err != nil {
+		fail(err)
+	}
+	if err := w.Flush(); err != nil {
+		fail(err)
+	}
+	fmt.Fprintf(os.Stderr, "castrace: %d rdCAS, %d wrCAS, %d self-recycles, spread %dMB\n",
+		res.Trace.Reads(), res.Trace.Writes(), res.SelfRecycles, res.SpreadBytes>>20)
 }
 
 func fig10(pool *runner.Pool, sc experiments.Scale) {

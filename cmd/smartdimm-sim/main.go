@@ -6,6 +6,10 @@
 // the values is swept, with independent runs fanned across -parallel
 // workers (results always print in sweep order).
 //
+// The flags fill a profile.BenchScenario and the run is built by the same
+// builder as the KPI bench, so a run of a bench scenario's shape reports
+// that scenario's numbers.
+//
 // Multi-device fleets: -devices N (default 1) installs N SmartDIMM
 // ranks and shards connections across them through internal/fleet. The
 // -placement flag accepts the fleet placement policies directly —
@@ -64,40 +68,22 @@ import (
 	"strings"
 
 	"repro/internal/autoscale"
-	"repro/internal/corpus"
-	"repro/internal/dram"
 	"repro/internal/fleet"
 	"repro/internal/offload"
 	"repro/internal/profile"
-	"repro/internal/rdma"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
-	"repro/internal/wrkgen"
 )
 
-// cliConfig carries the flag values shared by every run of the sweep.
-type cliConfig struct {
-	placement   string
-	datapath    string
-	ulpName     string
-	workers     int
-	devices     int
-	shards      int
-	execWorkers int
-	llc         int
-	ways        int
-	kind        corpus.Kind
-	warmupMs    int
-	measureMs   int
-	seed        int64
+// options carries the flags that are not part of the run's spec: the
+// report's extras and the workload run's control planes.
+type options struct {
 	tracePath   string
 	metrics     bool
 	profile     bool
-	workload    string
-	rps         float64
 	sloUs       float64
 	scrapeUs    int64
 	alerts      bool
@@ -133,10 +119,6 @@ func main() {
 	incidentDir := flag.String("incident-dir", "", "with -workload: arm the flight recorder and write each incident bundle (report.txt + trace.json) under this directory")
 	flag.Parse()
 
-	kind, err := parseKind(*kindName)
-	if err != nil {
-		fatal(err)
-	}
 	msgs, err := parseIntList("msg", *msgList)
 	if err != nil {
 		fatal(err)
@@ -145,33 +127,35 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
 	if *devices < 1 {
 		fatal(fmt.Errorf("-devices %d: need at least one rank", *devices))
 	}
-	cfg := cliConfig{
-		placement: strings.ToLower(*placement), datapath: strings.ToLower(*datapath),
-		ulpName: strings.ToLower(*ulpName),
-		workers: *workers, devices: *devices, shards: *shards, execWorkers: *execWorkers,
-		llc: *llc, ways: *ways, kind: kind,
-		warmupMs: *warmupMs, measureMs: *measureMs, seed: *seed,
+	// -profile analyzes the same event stream a -trace run records, so
+	// both flags trace the run.
+	spec := profile.BenchScenario{
+		Placement: strings.ToLower(*placement), Devices: *devices,
+		ULP: strings.ToLower(*ulpName), Workers: *workers, Seed: *seed,
+		WarmupPs: int64(*warmupMs) * sim.Ms, MeasurePs: int64(*measureMs) * sim.Ms,
+		Shards: *shards, ExecWorkers: *execWorkers, DataPath: strings.ToLower(*datapath),
+		Workload: strings.ToLower(*workloadName), RPS: *rps,
+		LLCBytes: *llc, LLCWays: *ways, Corpus: strings.ToLower(*kindName),
+		Trace: *tracePath != "" || *prof,
+	}
+	opt := options{
 		tracePath: *tracePath, metrics: *metrics, profile: *prof,
-		workload: strings.ToLower(*workloadName), rps: *rps, sloUs: *sloUs,
-		scrapeUs: *scrapeUs, alerts: *alerts, incidentDir: *incidentDir,
+		sloUs: *sloUs, scrapeUs: *scrapeUs, alerts: *alerts, incidentDir: *incidentDir,
 	}
 
-	type point struct{ msg, conns int }
-	var sweep []point
+	var sweep []profile.BenchScenario
 	for _, m := range msgs {
 		for _, c := range conns {
-			sweep = append(sweep, point{msg: m, conns: c})
+			sc := spec
+			sc.Msg, sc.Conns = m, c
+			sweep = append(sweep, sc)
 		}
 	}
-	if cfg.tracePath != "" && len(sweep) > 1 {
-		fatal(fmt.Errorf("-trace: sweep has %d points; tracing needs a single msg/conns point", len(sweep)))
-	}
-	if cfg.incidentDir != "" && len(sweep) > 1 {
-		fatal(fmt.Errorf("-incident-dir: sweep has %d points; incident capture needs a single msg/conns point", len(sweep)))
+	if len(sweep) > 1 && (opt.tracePath != "" || opt.incidentDir != "") {
+		fatal(fmt.Errorf("-trace/-incident-dir: sweep has %d points; tracing and incident capture need a single msg/conns point", len(sweep)))
 	}
 	var pool *runner.Pool
 	if *par != 1 && len(sweep) > 1 {
@@ -180,8 +164,8 @@ func main() {
 	// Each run formats its own report; blocks print in sweep order no
 	// matter which worker finishes first.
 	blocks, err := runner.Map(context.Background(), pool, sweep,
-		func(_ context.Context, pt point, _ int) (string, error) {
-			return runOne(cfg, pt.msg, pt.conns)
+		func(_ context.Context, sc profile.BenchScenario, _ int) (string, error) {
+			return runOne(sc, opt)
 		})
 	if err != nil {
 		fatal(err)
@@ -194,183 +178,52 @@ func main() {
 	}
 }
 
-// runOne builds a fresh system, runs one closed-loop measurement, and
-// returns the formatted report.
-func runOne(cfg cliConfig, msg, conns int) (string, error) {
-	if cfg.workload != "" {
-		if cfg.shards > 0 || cfg.datapath == "peer" || cfg.tracePath != "" || cfg.profile {
-			return "", fmt.Errorf("-workload: not combinable with -shards, -datapath peer, -trace, or -profile")
-		}
-		return runWorkload(cfg, conns)
+// runOne builds the run sc describes — serial, sharded or workload —
+// runs it, and returns the formatted report.
+func runOne(sc profile.BenchScenario, opt options) (string, error) {
+	if sc.Workload != "" {
+		return runWorkload(sc, opt)
 	}
-	if cfg.scrapeUs > 0 || cfg.alerts || cfg.incidentDir != "" {
+	if opt.scrapeUs > 0 || opt.alerts || opt.incidentDir != "" {
 		return "", fmt.Errorf("-scrape-us/-alerts/-incident-dir: observability plane runs need -workload")
 	}
-	if cfg.shards > 0 {
-		if cfg.datapath == "peer" {
-			return "", fmt.Errorf("-datapath peer: not supported with -shards")
-		}
-		return runSharded(cfg, msg, conns)
+	if sc.Shards > 0 {
+		return runSharded(sc, opt)
 	}
-	peer := cfg.datapath == "peer"
-	if !peer && cfg.datapath != "host" {
-		return "", fmt.Errorf("-datapath %q: use host or peer", cfg.datapath)
-	}
-	// A fleet policy name as the placement, or -devices above 1 with the
-	// plain smartdimm placement (defaulting to round-robin), selects the
-	// multi-device fleet backend.
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	isFleet := polErr == nil
-	if cfg.devices > 1 && !isFleet {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-devices %d: placement %q is single-device; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)",
-				cfg.devices, cfg.placement)
-		}
-		isFleet, pol = true, fleet.RoundRobin
-	}
-
-	withDIMM := cfg.placement == "smartdimm" || cfg.placement == "adaptive" || isFleet
-	if peer && !(cfg.placement == "smartdimm" || isFleet) {
-		return "", fmt.Errorf("-datapath peer: placement %q has no device buffers; use smartdimm or a fleet policy", cfg.placement)
-	}
-	ranks := 0
-	if isFleet {
-		ranks = cfg.devices
-	}
-	dp := sim.DataPathHost
-	if peer {
-		dp = sim.DataPathPeer
-	}
-	var tracer *telemetry.Tracer
-	traceCAS := 0
-	if cfg.tracePath != "" || cfg.profile {
-		// -profile analyzes the same event stream a -trace run records,
-		// so both flags thread a tracer through the system.
-		tracer = telemetry.New()
-		// A traced run also records the channel-0 CAS stream so the
-		// Perfetto counter track has data.
-		traceCAS = 1 << 16
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params: sim.DefaultParams(), LLCBytes: cfg.llc, LLCWays: cfg.ways,
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
-		WithSmartDIMM:  withDIMM,
-		SmartDIMMRanks: ranks,
-		DataPath:       dp,
-		Tracer:         tracer,
-		TraceCAS:       traceCAS,
-	})
+	rig, err := profile.Build(sc)
 	if err != nil {
 		return "", err
 	}
-	var nic *rdma.NIC
-	if peer {
-		if nic, err = rdma.New(rdma.Config{Sys: sys, Tracer: tracer}); err != nil {
-			return "", err
-		}
+	m, err := rig.Run(sc.WarmupPs, sc.MeasurePs)
+	if err != nil {
+		return "", err
 	}
-
-	var backend offload.Backend
-	var fl *fleet.Fleet
-	switch {
-	case isFleet:
-		fl, err = fleet.New(fleet.Config{Sys: sys, Policy: pol, RNIC: nic})
-		if err != nil {
-			return "", err
-		}
-		backend = fl
-	case cfg.placement == "cpu":
-		backend = &offload.CPU{Sys: sys}
-	case cfg.placement == "smartnic":
-		backend = &offload.SmartNIC{Sys: sys}
-	case cfg.placement == "qat":
-		backend = &offload.QAT{Sys: sys}
-	case cfg.placement == "smartdimm":
-		backend = &offload.SmartDIMM{Sys: sys}
-	case cfg.placement == "adaptive":
-		backend = &offload.Adaptive{Sys: sys,
-			CPUBackend: &offload.CPU{Sys: sys}, DIMM: &offload.SmartDIMM{Sys: sys}}
-	default:
-		return "", fmt.Errorf("unknown placement %q", cfg.placement)
-	}
-
-	mode := server.HTTPSMode
-	switch cfg.ulpName {
-	case "tls":
-	case "compression":
-		mode = server.CompressedHTTP
-	case "none":
-		mode = server.PlainHTTP
-		backend = nil
-	default:
-		return "", fmt.Errorf("unknown ulp %q", cfg.ulpName)
-	}
-	if peer && backend != nil {
-		if backend, err = offload.NewRDMA(backend, nic); err != nil {
-			return "", err
-		}
-	}
-
-	scfg := server.Config{
-		Sys: sys, Backend: backend, Mode: mode, Workers: cfg.workers,
-		MsgSize: msg, Connections: conns, FileKind: cfg.kind, Seed: cfg.seed,
-	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	var m server.Metrics
-	if isFleet {
-		// The fleet's queue-occupancy model shares the system's simulated
-		// clock, so fleet runs must drive the system engine directly
-		// (RunClosedLoop builds a private engine the fleet can't see).
-		srv, err := server.New(sys.Engine, scfg)
-		if err != nil {
-			return "", err
-		}
-		gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-			Connections: conns,
-			ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-		})
-		gen.Start()
-		sys.Engine.RunUntil(warmup)
-		srv.BeginMeasurement()
-		gen.BeginMeasurement()
-		sys.Engine.RunUntil(warmup + measure)
-		m = srv.Collect()
-	} else {
-		m, err = server.RunClosedLoop(scfg, warmup, measure)
-		if err != nil {
-			return "", err
-		}
-	}
+	mode, _ := sc.Mode() // Build has checked the ULP
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "placement:   %s\n", cfg.placement)
-	fmt.Fprintf(&b, "datapath:    %s\n", cfg.datapath)
-	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers\n", mode, msg, conns, cfg.workers)
-	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
-	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
-	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
-	fmt.Fprintf(&b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
-	fmt.Fprintf(&b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
-	fmt.Fprintf(&b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
-	if fl != nil {
+	fmt.Fprintf(&b, "placement:   %s\n", sc.Placement)
+	fmt.Fprintf(&b, "datapath:    %s\n", sc.DataPath)
+	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers\n", mode, sc.Msg, sc.Conns, sc.Workers)
+	writeServing(&b, m, sc.Msg)
+	if fl := rig.Fleet; fl != nil {
 		t := fl.Totals()
 		fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active; %d batches / %d descriptors\n",
-			t.Devices, pol, t.Active, t.Batches, t.Descriptors)
+			t.Devices, fl.Policy(), t.Active, t.Batches, t.Descriptors)
 		fmt.Fprintf(&b, "placement:   %d migrations (%d sheds), %d trips / %d readmits, %d soft ops, fallback rate %.4f\n",
 			t.Migrations, t.Sheds, t.Trips, t.Readmits, t.SoftOps, t.Degraded.FallbackRate())
 	}
-	if withDIMM && sys.Dev != nil {
+	if sys := rig.Sys; sys.Dev != nil {
 		st := sys.Dev.Stats()
 		fmt.Fprintf(&b, "smartdimm:   %d registrations, %d DSA lines, %d self-recycles, %d S7, %d S10, %d ALERT_N\n",
 			st.Registrations, st.DSALinesFed, st.SelfRecycles, st.IgnoredWrites, st.ScratchpadReads, st.Alerts)
 		fmt.Fprintf(&b, "driver:      %d CompCpy, %d force-recycles\n",
 			sys.Driver.Stats().CompCpyCalls, sys.Driver.Stats().ForceRecycleCalls)
-		if ad, ok := backend.(*offload.Adaptive); ok {
+		if ad, ok := rig.Backend.(*offload.Adaptive); ok {
 			fmt.Fprintf(&b, "adaptive:    %d offloaded, %d on CPU (last miss rate %.3f)\n",
 				ad.OffloadedN, ad.OnCPUN, ad.LastMissRate)
 		}
 	}
-	if nic != nil {
+	if nic := rig.NIC; nic != nil {
 		st := nic.Stats()
 		fmt.Fprintf(&b, "rdma:        %d MRs (%d live), %d WQEs (%d ok / %d failed), %d doorbells (%.2f wqe/ring, %d lost), %d RNR naks, %d stale retargets\n",
 			st.MRs, st.LiveMRs, st.Posted, st.Completed, st.Failed,
@@ -378,86 +231,89 @@ func runOne(cfg cliConfig, msg, conns int) (string, error) {
 		fmt.Fprintf(&b, "             %d peer bytes on the wire (%.2fus serialized), %d preloaded\n",
 			st.PeerBytes, float64(st.WirePs)/float64(sim.Us), st.Preloaded)
 	}
-	if cfg.metrics {
+	if opt.metrics {
 		reg := telemetry.NewRegistry()
 		reg.Register("server", m)
-		sys.RegisterMetrics(reg)
-		if fl != nil {
-			reg.Register("fleet", fl.Totals())
+		rig.Sys.RegisterMetrics(reg)
+		if rig.Fleet != nil {
+			reg.Register("fleet", rig.Fleet.Totals())
 		}
 		fmt.Fprintf(&b, "--- metrics ---\n")
 		if err := reg.WriteText(&b); err != nil {
 			return "", err
 		}
 	}
-	if tracer != nil && sys.Trace != nil {
-		sys.Trace.ExportTo(tracer)
-	}
-	if cfg.profile {
-		p := profile.FromTracer(tracer)
+	if opt.profile {
 		fmt.Fprintf(&b, "--- profile ---\n")
-		if err := p.WriteTree(&b); err != nil {
+		if err := profile.FromTracer(rig.Tracer).WriteTree(&b); err != nil {
 			return "", err
 		}
-		cp := profile.AnalyzeTracer(tracer, profile.Options{FromPs: warmup})
+		cp := profile.AnalyzeTracer(rig.Tracer, profile.Options{FromPs: sc.WarmupPs})
 		fmt.Fprintf(&b, "--- critical path ---\n")
 		if err := cp.WriteTable(&b); err != nil {
 			return "", err
 		}
 	}
-	if cfg.tracePath != "" {
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
+	if opt.tracePath != "" {
+		if err := writeTrace(&b, opt.tracePath, rig.Tracer); err != nil {
 			return "", err
 		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
-			cfg.tracePath, tracer.Len())
 	}
 	return b.String(), nil
 }
 
+// writeServing prints the serving metrics every closed-loop report
+// shares.
+func writeServing(b *strings.Builder, m server.Metrics, msg int) {
+	fmt.Fprintf(b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
+	fmt.Fprintf(b, "RPS:         %.0f\n", m.RPS)
+	fmt.Fprintf(b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
+	fmt.Fprintf(b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
+	fmt.Fprintf(b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
+	fmt.Fprintf(b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
+}
+
+// writeTrace writes tr as Perfetto JSON to path and reports it.
+func writeTrace(b *strings.Builder, path string, tr *telemetry.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WritePerfetto(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n", path, tr.Len())
+	return nil
+}
+
 // runWorkload drives the trace-replay workload suite: an open-loop
-// arrival trace at cfg.rps over a cfg.devices-rank fleet, optionally
+// arrival trace at sc.RPS over a sc.Devices-rank fleet, optionally
 // supervised by the SLO autoscaler (-slo-us).
-func runWorkload(cfg cliConfig, conns int) (string, error) {
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	if polErr != nil {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-workload: placement %q is single-device; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)", cfg.placement)
-		}
-		pol = fleet.RoundRobin
+func runWorkload(sc profile.BenchScenario, opt options) (string, error) {
+	rc, err := sc.WorkloadConfig()
+	if err != nil {
+		return "", err
 	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	rc := workload.RunConfig{
-		Kind: cfg.workload, Ranks: cfg.devices, Policy: pol,
-		Conns: conns, Workers: cfg.workers, Seed: cfg.seed,
-		HorizonPs: warmup + measure, WarmupPs: warmup,
-		KV:       workload.KVConfig{ZipfS: 0.99},
-		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: cfg.rps},
+	if opt.sloUs > 0 {
+		rc.Scale = &autoscale.Config{SLOPs: opt.sloUs * float64(sim.Us)}
 	}
-	if cfg.sloUs > 0 {
-		rc.Scale = &autoscale.Config{SLOPs: cfg.sloUs * float64(sim.Us)}
+	if opt.scrapeUs > 0 {
+		rc.ScrapePs = opt.scrapeUs * sim.Us
 	}
-	if cfg.scrapeUs > 0 {
-		rc.ScrapePs = cfg.scrapeUs * sim.Us
-	}
-	if cfg.alerts || cfg.incidentDir != "" {
+	if opt.alerts || opt.incidentDir != "" {
 		// The burn-rate page targets the autoscaler's objective when one
 		// is set, the 100us default otherwise.
-		slo := cfg.sloUs
+		slo := opt.sloUs
 		if slo <= 0 {
 			slo = 100
 		}
 		rc.Rules = workload.DefaultAlertRules(slo * float64(sim.Us))
 	}
-	rc.Record = cfg.incidentDir != ""
+	rc.Record = opt.incidentDir != ""
 	rep, err := workload.Run(rc)
 	if err != nil {
 		return "", err
@@ -465,8 +321,8 @@ func runWorkload(cfg cliConfig, conns int) (string, error) {
 	m := rep.Metrics
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload:    %s, %.0f rps offered (open loop), %d connections, %d workers\n",
-		rep.Kind, cfg.rps, conns, cfg.workers)
-	fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active at end\n", cfg.devices, pol, rep.FinalActive)
+		rep.Kind, sc.RPS, sc.Conns, sc.Workers)
+	fmt.Fprintf(&b, "fleet:       %d devices (%s), %d active at end\n", sc.Devices, rc.Policy, rep.FinalActive)
 	fmt.Fprintf(&b, "issued:      %d (%d completed, peak in-flight %d)\n", rep.Issued, rep.Completed, rep.PeakInFlight)
 	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
 	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
@@ -482,7 +338,7 @@ func runWorkload(cfg cliConfig, conns int) (string, error) {
 	}
 	if rc.Scale != nil {
 		fmt.Fprintf(&b, "autoscaler:  SLO %.0fus held %.0f%% of ticks; %d admits, %d drains\n",
-			cfg.sloUs, rep.SLOHeldFrac*100, rep.Fleet.AdminAdmits, rep.Fleet.AdminDrains)
+			opt.sloUs, rep.SLOHeldFrac*100, rep.Fleet.AdminAdmits, rep.Fleet.AdminDrains)
 		if len(rep.Actions) > 0 {
 			b.WriteString("--- actions ---\n")
 			for _, a := range rep.Actions {
@@ -497,12 +353,12 @@ func runWorkload(cfg cliConfig, conns int) (string, error) {
 			fmt.Fprintf(&b, "--- alerts ---\n%s", rep.AlertLog)
 		}
 	}
-	if cfg.incidentDir != "" {
-		if err := writeIncidents(cfg.incidentDir, rep, &b); err != nil {
+	if opt.incidentDir != "" {
+		if err := writeIncidents(opt.incidentDir, rep, &b); err != nil {
 			return "", err
 		}
 	}
-	if cfg.metrics {
+	if opt.metrics {
 		reg := telemetry.NewRegistry()
 		reg.Register("server", m)
 		reg.Register("run", rep)
@@ -553,42 +409,22 @@ func writeIncidents(dir string, rep workload.Report, b *strings.Builder) error {
 	return nil
 }
 
-// runSharded runs one simulation split across cfg.shards parallel
-// engine shards (fleet.Sharded): each shard is a disjoint sub-system
-// with cfg.devices ranks behind a per-shard fleet backend, the
-// front-end shard dispatches connections across them, and epochs
-// execute on cfg.execWorkers goroutines. Reported metrics (and -trace /
-// -metrics artifacts) are byte-identical at any -exec-workers setting.
-func runSharded(cfg cliConfig, msg, conns int) (string, error) {
-	pol, polErr := fleet.ParsePolicy(cfg.placement)
-	if polErr != nil {
-		if cfg.placement != "smartdimm" {
-			return "", fmt.Errorf("-shards: placement %q is single-system; use smartdimm or a fleet policy (rr, leastload, affinity, sticky)", cfg.placement)
-		}
-		pol = fleet.RoundRobin
-	}
-	mode := server.HTTPSMode
-	switch cfg.ulpName {
-	case "tls":
-	case "compression":
-		mode = server.CompressedHTTP
-	default:
-		return "", fmt.Errorf("-shards: ulp %q unsupported; sharded runs serve tls or compression", cfg.ulpName)
-	}
-	trace := cfg.tracePath != "" || cfg.profile
-	cl, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: cfg.shards, RanksPerShard: cfg.devices, Policy: pol,
-		Workers: cfg.workers, MsgSize: msg, Connections: conns,
-		FileKind: cfg.kind, Mode: mode, Seed: cfg.seed,
-		ExecWorkers: cfg.execWorkers,
-		LLCBytes:    cfg.llc, LLCWays: cfg.ways,
-		Trace: trace,
-	})
+// runSharded runs one simulation split across sc.Shards parallel engine
+// shards (fleet.Sharded): each shard is a disjoint sub-system with
+// sc.Devices ranks behind a per-shard fleet backend, the front-end shard
+// dispatches connections across them, and epochs execute on
+// sc.ExecWorkers goroutines. Reported metrics (and -trace / -metrics
+// artifacts) are byte-identical at any -exec-workers setting.
+func runSharded(sc profile.BenchScenario, opt options) (string, error) {
+	cfg, err := sc.ShardedConfig()
 	if err != nil {
 		return "", err
 	}
-	warmup, measure := int64(cfg.warmupMs)*sim.Ms, int64(cfg.measureMs)*sim.Ms
-	sm, err := cl.Run(warmup, measure)
+	cl, err := fleet.NewSharded(cfg)
+	if err != nil {
+		return "", err
+	}
+	sm, err := cl.Run(sc.WarmupPs, sc.MeasurePs)
 	if err != nil {
 		return "", err
 	}
@@ -596,21 +432,16 @@ func runSharded(cfg cliConfig, msg, conns int) (string, error) {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "placement:   %s, %d shards x %d ranks (exec workers: %d)\n",
-		pol, cfg.shards, cfg.devices, cl.Engine().Workers)
-	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers/shard\n", mode, msg, conns, cfg.workers)
-	fmt.Fprintf(&b, "requests:    %d in %.2fms\n", m.Requests, float64(m.ElapsedPs)/float64(sim.Ms))
-	fmt.Fprintf(&b, "RPS:         %.0f\n", m.RPS)
-	fmt.Fprintf(&b, "CPU util:    %.1f%%\n", m.CPUUtil*100)
-	fmt.Fprintf(&b, "memory BW:   %.3f GB/s (%d bytes)\n", m.MemBWGBps, m.MemBytes)
-	fmt.Fprintf(&b, "TX:          %d bytes (%.2fx body)\n", m.TXBytes, float64(m.TXBytes)/float64(m.Requests*uint64(msg)))
-	fmt.Fprintf(&b, "mean latency: %.1f us\n", float64(m.MeanLatPs)/float64(sim.Us))
+		cfg.Policy, sc.Shards, sc.Devices, cl.Engine().Workers)
+	fmt.Fprintf(&b, "mode:        %s, %dB messages, %d connections, %d workers/shard\n", cfg.Mode, sc.Msg, sc.Conns, sc.Workers)
+	writeServing(&b, m, sc.Msg)
 	fmt.Fprintf(&b, "engine:      lookahead %.2fus, %d epochs, %d cross-shard msgs, %d events\n",
 		float64(cl.Engine().Lookahead())/float64(sim.Us), sm.Epochs, sm.SentMsgs, sm.Processed)
 	for s, ps := range sm.PerShard {
 		fmt.Fprintf(&b, "  shard %d:   %d requests, RPS %.0f, mean latency %.1f us\n",
 			s, ps.Requests, ps.RPS, float64(ps.MeanLatPs)/float64(sim.Us))
 	}
-	if cfg.metrics {
+	if opt.metrics {
 		reg := telemetry.NewRegistry()
 		reg.Register("server", m)
 		cl.RegisterMetrics(reg)
@@ -619,29 +450,17 @@ func runSharded(cfg cliConfig, msg, conns int) (string, error) {
 			return "", err
 		}
 	}
-	if cfg.profile {
-		merged := cl.MergedTrace()
-		p := profile.FromTracer(merged)
+	merged := cl.MergedTrace()
+	if opt.profile {
 		fmt.Fprintf(&b, "--- profile ---\n")
-		if err := p.WriteTree(&b); err != nil {
+		if err := profile.FromTracer(merged).WriteTree(&b); err != nil {
 			return "", err
 		}
 	}
-	if cfg.tracePath != "" {
-		merged := cl.MergedTrace()
-		f, err := os.Create(cfg.tracePath)
-		if err != nil {
+	if opt.tracePath != "" {
+		if err := writeTrace(&b, opt.tracePath, merged); err != nil {
 			return "", err
 		}
-		if err := merged.WritePerfetto(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "trace:       %s (%d events; open in chrome://tracing or ui.perfetto.dev)\n",
-			cfg.tracePath, merged.Len())
 	}
 	return b.String(), nil
 }
@@ -656,15 +475,6 @@ func parseIntList(name, s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseKind(name string) (corpus.Kind, error) {
-	for _, k := range corpus.AllKinds() {
-		if k.String() == strings.ToLower(name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown corpus %q", name)
 }
 
 func fatal(err error) {

@@ -40,7 +40,7 @@ func main() {
 	} {
 		sys, err := sim.NewSystem(sim.SystemConfig{
 			Params: sim.DefaultParams(), LLCBytes: llcBytes, LLCWays: 8,
-			Geometry:      dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
+			Geometry:      dram.MediumGeometry(),
 			WithSmartDIMM: s.dimm,
 		})
 		if err != nil {

@@ -81,12 +81,9 @@ type Config struct {
 	// 1 = the serial reference schedule).
 	ExecWorkers int
 
-	// Params/LLCBytes/LLCWays/Geometry configure each node's sub-system
-	// (zero values select the same defaults as fleet.ShardedConfig).
-	Params   *sim.Params
-	LLCBytes int
-	LLCWays  int
-	Geometry dram.Geometry
+	// Params calibrates each node's sub-system (nil = DefaultParams);
+	// every node has a 2MB 8-way LLC slice and the medium geometry.
+	Params *sim.Params
 }
 
 // Cluster is the assembled tier.
@@ -170,12 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	if cfg.LLCBytes == 0 {
-		cfg.LLCBytes, cfg.LLCWays = 2<<20, 8
-	}
-	if cfg.Geometry.Ranks == 0 {
-		cfg.Geometry = dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
-	}
 
 	c := &Cluster{cfg: cfg}
 	c.se = sim.NewShardedEngine(cfg.Nodes+1, cfg.Net.PropPs)
@@ -211,8 +202,8 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		tracer := c.tracers[1+i]
 		sys, err := sim.NewSystem(sim.SystemConfig{
-			Params: params, LLCBytes: cfg.LLCBytes, LLCWays: cfg.LLCWays,
-			Geometry:       cfg.Geometry,
+			Params: params, LLCBytes: 2 << 20, LLCWays: 8,
+			Geometry:       dram.MediumGeometry(),
 			WithSmartDIMM:  true,
 			SmartDIMMRanks: 1,
 			Tracer:         tracer,
@@ -301,9 +292,6 @@ func (c *Cluster) Net() *Net { return c.net }
 // History returns the recorded client operation history (live slice;
 // read it only when the simulation is not running).
 func (c *Cluster) History() []Op { return c.rt.history }
-
-// GroupMembers returns group g's member node ids.
-func (c *Cluster) GroupMembers(g int) []int { return c.groups[g] }
 
 // Start opens the client loops.
 func (c *Cluster) Start() { c.rt.Start() }

@@ -93,17 +93,22 @@ func (a *Antagonist) batch(inst int) {
 		}
 		wall += lat + a.cfg.ComputeNsPerRead*sim.Ns
 	}
-	if a.measuring {
+	if a.measuring && a.eng.Now() > a.fromPs {
 		a.ops += uint64(a.cfg.BatchReads)
 	}
 	a.eng.After(wall, func() { a.batch(inst) })
 }
 
 // BeginMeasurement zeroes progress counters (after warmup).
-func (a *Antagonist) BeginMeasurement() {
+func (a *Antagonist) BeginMeasurement() { a.MeasureFrom(a.eng.Now()) }
+
+// MeasureFrom zeroes progress counters and counts only the batches that
+// start after ps: called before the run with ps at the end of warmup,
+// it measures what BeginMeasurement called at that instant would.
+func (a *Antagonist) MeasureFrom(ps int64) {
 	a.measuring = true
 	a.ops = 0
-	a.fromPs = a.eng.Now()
+	a.fromPs = ps
 }
 
 // OpsPerSecond returns measured progress across all instances.

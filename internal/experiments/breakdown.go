@@ -31,7 +31,7 @@ func FigBreakdown(pool *runner.Pool, sc Scale, mode server.Mode, msgSize int) ([
 	}
 	results, err := runner.Map(context.Background(), pool, placements,
 		func(_ context.Context, place Placement, _ int) (result, error) {
-			sys, err := newSystem(sc, place, 0)
+			sys, err := newSystem(sc, place)
 			if err != nil {
 				return result{}, err
 			}

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/corpus"
 	"repro/internal/profile"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/wrkgen"
 )
 
 // CritPathRow is one placement's critical-path attribution: for every
@@ -44,54 +41,35 @@ func (r CritPathRow) ShareOf(stage string) float64 {
 	return 0
 }
 
+// specPlacements names each placement as the serving-run spec does.
+var specPlacements = map[Placement]string{PlaceCPU: "cpu", PlaceSmartNIC: "smartnic", PlaceQAT: "qat", PlaceSmartDIMM: "smartdimm"}
+
 // CritPathBreakdown runs one traced serving window per placement and
 // critical-path-analyzes each trace. Traces never leave the run: each
 // placement gets a private Tracer, and the analysis happens in-process
 // on the recorded events.
 func CritPathBreakdown(pool *runner.Pool, sc Scale, mode server.Mode, msgSize int) ([]CritPathRow, error) {
-	placements := []Placement{PlaceCPU, PlaceSmartNIC, PlaceQAT, PlaceSmartDIMM}
-	type result struct {
-		row  CritPathRow
-		skip bool
+	var placements []Placement
+	for _, place := range []Placement{PlaceCPU, PlaceSmartNIC, PlaceQAT, PlaceSmartDIMM} {
+		if backendFor(place, nil).Supports(mode2ulp(mode)) {
+			placements = append(placements, place)
+		}
 	}
-	results, err := runner.Map(context.Background(), pool, placements,
-		func(_ context.Context, place Placement, _ int) (result, error) {
-			tr := telemetry.New()
-			sys, err := sim.NewSystem(sim.SystemConfig{
-				Params:        sim.DefaultParams(),
-				LLCBytes:      sc.LLCBytes,
-				LLCWays:       sc.LLCWays,
-				Geometry:      mediumGeometry(),
-				WithSmartDIMM: place == PlaceSmartDIMM,
-				Tracer:        tr,
+	ulp := map[server.Mode]string{server.PlainHTTP: "none", server.HTTPSMode: "tls", server.CompressedHTTP: "compression"}[mode]
+	return runner.Map(context.Background(), pool, placements,
+		func(_ context.Context, place Placement, _ int) (CritPathRow, error) {
+			rig, err := profile.Build(profile.BenchScenario{
+				Placement: specPlacements[place], ULP: ulp,
+				Msg: msgSize, Conns: sc.Connections, Workers: sc.Workers, Seed: 5,
+				LLCBytes: sc.LLCBytes, LLCWays: sc.LLCWays, Corpus: "html", Trace: true,
 			})
 			if err != nil {
-				return result{}, err
+				return CritPathRow{}, err
 			}
-			b := backendFor(place, sys)
-			if !b.Supports(mode2ulp(mode)) {
-				return result{skip: true}, nil
+			if _, err := rig.Run(sc.WarmupPs, sc.MeasurePs); err != nil {
+				return CritPathRow{}, err
 			}
-			srv, err := server.New(sys.Engine, server.Config{
-				Sys: sys, Backend: b, Mode: mode, Workers: sc.Workers,
-				MsgSize: msgSize, Connections: sc.Connections,
-				FileKind: corpus.HTML, Seed: 5,
-			})
-			if err != nil {
-				return result{}, err
-			}
-			gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-				Connections: sc.Connections,
-				ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-			})
-			gen.Start()
-			sys.Engine.RunUntil(sc.WarmupPs)
-			srv.BeginMeasurement()
-			sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-			if sys.Trace != nil {
-				sys.Trace.ExportTo(tr)
-			}
-			cp := profile.AnalyzeTracer(tr, profile.Options{FromPs: sc.WarmupPs})
+			cp := profile.AnalyzeTracer(rig.Tracer, profile.Options{FromPs: sc.WarmupPs})
 			row := CritPathRow{Placement: place, Requests: len(cp.Requests),
 				P99Ps: cp.PercentileLatencyPs(99), Stages: cp.Stages}
 			best := 0
@@ -100,18 +78,8 @@ func CritPathBreakdown(pool *runner.Pool, sc Scale, mode server.Mode, msgSize in
 					best, row.Dominant = s.Dominant, s.Name
 				}
 			}
-			return result{row: row}, nil
+			return row, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	var out []CritPathRow
-	for _, r := range results {
-		if !r.skip {
-			out = append(out, r.row)
-		}
-	}
-	return out, nil
 }
 
 // WriteCritPathTable renders the per-placement stage-share table the

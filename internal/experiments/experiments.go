@@ -62,12 +62,6 @@ func PaperScale() Scale {
 	}
 }
 
-// mediumGeometry provides 512MB of simulated DRAM, enough for
-// paper-scale connection counts.
-func mediumGeometry() dram.Geometry {
-	return dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128}
-}
-
 // Placement names one accelerator configuration of §VI.
 type Placement int
 
@@ -94,14 +88,13 @@ func (p Placement) String() string {
 }
 
 // newSystem assembles a system for a placement.
-func newSystem(sc Scale, place Placement, traceCAS int) (*sim.System, error) {
+func newSystem(sc Scale, place Placement) (*sim.System, error) {
 	return sim.NewSystem(sim.SystemConfig{
 		Params:        sim.DefaultParams(),
 		LLCBytes:      sc.LLCBytes,
 		LLCWays:       sc.LLCWays,
-		Geometry:      mediumGeometry(),
+		Geometry:      dram.MediumGeometry(),
 		WithSmartDIMM: place == PlaceSmartDIMM,
-		TraceCAS:      traceCAS,
 	})
 }
 
@@ -217,7 +210,7 @@ func Fig3(pool *runner.Pool, sc Scale, connCounts []int, msgSize int) ([]Fig3Poi
 	out, err := runner.Map(context.Background(), pool, connCounts,
 		func(_ context.Context, conns, _ int) (Fig3Point, error) {
 			run := func(mode server.Mode) (server.Metrics, error) {
-				sys, err := newSystem(sc, PlaceCPU, 0)
+				sys, err := newSystem(sc, PlaceCPU)
 				if err != nil {
 					return server.Metrics{}, err
 				}
@@ -268,7 +261,7 @@ type Fig9Result struct {
 func Fig9() (*Fig9Result, error) {
 	sys, err := sim.NewSystem(sim.SystemConfig{
 		Params: sim.DefaultParams(), LLCBytes: 256 << 10, LLCWays: 8,
-		Geometry: mediumGeometry(), WithSmartDIMM: true, TraceCAS: 200000,
+		Geometry: dram.MediumGeometry(), WithSmartDIMM: true, TraceCAS: 200000,
 	})
 	if err != nil {
 		return nil, err
@@ -345,7 +338,7 @@ func Fig10(pool *runner.Pool, llcSizes []int, sc Scale) ([]Fig10Series, error) {
 		func(_ context.Context, llc, _ int) (Fig10Series, error) {
 			sys, err := sim.NewSystem(sim.SystemConfig{
 				Params: sim.DefaultParams(), LLCBytes: llc, LLCWays: sc.LLCWays,
-				Geometry: mediumGeometry(), WithSmartDIMM: true,
+				Geometry: dram.MediumGeometry(), WithSmartDIMM: true,
 			})
 			if err != nil {
 				return Fig10Series{}, err
@@ -424,7 +417,7 @@ func RunPlacements(pool *runner.Pool, sc Scale, mode server.Mode, msgSizes []int
 	}
 	results, err := runner.Map(context.Background(), pool, jobs,
 		func(_ context.Context, j job, _ int) (result, error) {
-			sys, err := newSystem(sc, j.place, 0)
+			sys, err := newSystem(sc, j.place)
 			if err != nil {
 				return result{}, err
 			}
@@ -530,7 +523,7 @@ func Table1(pool *runner.Pool, sc Scale) ([]Table1Row, error) {
 	}
 	results, err := runner.Map(context.Background(), pool, jobs,
 		func(_ context.Context, j job, _ int) (result, error) {
-			sys, err := newSystem(sc, j.place, 0)
+			sys, err := newSystem(sc, j.place)
 			if err != nil {
 				return result{}, err
 			}

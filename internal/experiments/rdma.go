@@ -18,17 +18,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/corpus"
 	"repro/internal/corun"
-	"repro/internal/fleet"
-	"repro/internal/offload"
 	"repro/internal/profile"
-	"repro/internal/rdma"
 	"repro/internal/runner"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/wrkgen"
 )
 
 // RDMARanks is the rank count the rdma figure compares at: equal for
@@ -61,19 +54,20 @@ type RDMAPoint struct {
 
 // rdmaConfig names one column of the figure.
 type rdmaConfig struct {
-	label string
-	ranks int  // SmartDIMM ranks (0 = CPU-only system)
-	peer  bool // zero-copy RDMA ingress
-	corun bool
+	label     string
+	placement string // cpu, or the rr fleet
+	devices   int    // the fleet's SmartDIMM ranks
+	datapath  string // host, or peer for zero-copy RDMA ingress
+	corun     bool
 }
 
 func rdmaConfigs() []rdmaConfig {
 	var out []rdmaConfig
 	for _, co := range []bool{false, true} {
 		out = append(out,
-			rdmaConfig{label: "host-cpu", corun: co},
-			rdmaConfig{label: "host-dimm", ranks: RDMARanks, corun: co},
-			rdmaConfig{label: "peer-dimm", ranks: RDMARanks, peer: true, corun: co},
+			rdmaConfig{label: "host-cpu", placement: "cpu", devices: 1, datapath: "host", corun: co},
+			rdmaConfig{label: "host-dimm", placement: "rr", devices: RDMARanks, datapath: "host", corun: co},
+			rdmaConfig{label: "peer-dimm", placement: "rr", devices: RDMARanks, datapath: "peer", corun: co},
 		)
 	}
 	return out
@@ -90,81 +84,29 @@ func FigRDMA(pool *runner.Pool, sc Scale) ([]RDMAPoint, error) {
 }
 
 func runRDMAConfig(cf rdmaConfig, sc Scale) (RDMAPoint, error) {
-	tr := telemetry.New()
-	dp := sim.DataPathHost
-	if cf.peer {
-		dp = sim.DataPathPeer
-	}
-	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params:         sim.DefaultParams(),
-		LLCBytes:       sc.LLCBytes,
-		LLCWays:        sc.LLCWays,
-		Geometry:       mediumGeometry(),
-		WithSmartDIMM:  cf.ranks > 0,
-		SmartDIMMRanks: cf.ranks,
-		DataPath:       dp,
-		Tracer:         tr,
-	})
-	if err != nil {
-		return RDMAPoint{}, err
-	}
-	var backend offload.Backend
-	var nic *rdma.NIC
-	if cf.ranks > 0 {
-		if cf.peer {
-			if nic, err = rdma.New(rdma.Config{Sys: sys, Tracer: tr}); err != nil {
-				return RDMAPoint{}, err
-			}
-		}
-		fl, err := fleet.New(fleet.Config{Sys: sys, Policy: fleet.RoundRobin, RNIC: nic})
-		if err != nil {
-			return RDMAPoint{}, err
-		}
-		backend = fl
-		if cf.peer {
-			if backend, err = offload.NewRDMA(fl, nic); err != nil {
-				return RDMAPoint{}, err
-			}
-		}
-	} else {
-		backend = &offload.CPU{Sys: sys}
-	}
 	// 16KB messages (the paper's TLS record size): each record splits
 	// into several MTU-sized WQEs, so doorbell coalescing is visible in
 	// the wqe/doorbell column.
-	srv, err := server.New(sys.Engine, server.Config{
-		Sys: sys, Backend: backend, Mode: server.HTTPSMode, Workers: sc.Workers,
-		MsgSize: 16384, Connections: sc.Connections, FileKind: corpus.Text, Seed: 5,
+	rig, err := profile.Build(profile.BenchScenario{
+		Placement: cf.placement, Devices: cf.devices, ULP: "tls", DataPath: cf.datapath,
+		Msg: 16384, Conns: sc.Connections, Workers: sc.Workers, Seed: 5,
+		LLCBytes: sc.LLCBytes, LLCWays: sc.LLCWays, Trace: true,
 	})
 	if err != nil {
 		return RDMAPoint{}, err
 	}
-	gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
-		Connections: sc.Connections,
-		ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
-	})
 	var ant *corun.Antagonist
 	if cf.corun {
-		if ant, err = corun.Start(sys.Engine, corun.DefaultConfig(sys)); err != nil {
+		if ant, err = corun.Start(rig.Sys.Engine, corun.DefaultConfig(rig.Sys)); err != nil {
 			return RDMAPoint{}, err
 		}
+		ant.MeasureFrom(sc.WarmupPs)
 	}
-	gen.Start()
-	sys.Engine.RunUntil(sc.WarmupPs)
-	srv.BeginMeasurement()
-	gen.BeginMeasurement()
-	if ant != nil {
-		ant.BeginMeasurement()
-	}
-	sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	m := srv.Collect()
-	if err := srv.LastError(); err != nil {
+	m, err := rig.Run(sc.WarmupPs, sc.MeasurePs)
+	if err != nil {
 		return RDMAPoint{}, fmt.Errorf("rdma %s: %w", cf.label, err)
 	}
-	if sys.Trace != nil {
-		sys.Trace.ExportTo(tr)
-	}
-	cp := profile.AnalyzeTracer(tr, profile.Options{FromPs: sc.WarmupPs})
+	cp := profile.AnalyzeTracer(rig.Tracer, profile.Options{FromPs: sc.WarmupPs})
 	row := CritPathRow{Stages: cp.Stages}
 	pt := RDMAPoint{
 		Label: cf.label, Corun: cf.corun,
@@ -176,8 +118,8 @@ func runRDMAConfig(cf rdmaConfig, sc Scale) (RDMAPoint, error) {
 		BouncePct: row.ShareOf("bounce"),
 		RDMAPct:   row.ShareOf("rdma"),
 	}
-	if nic != nil {
-		st := nic.Stats()
+	if rig.NIC != nil {
+		st := rig.NIC.Stats()
 		if st.Doorbells > 0 {
 			pt.WQEPerDoorbell = float64(st.Completed+st.Failed) / float64(st.Doorbells)
 		}

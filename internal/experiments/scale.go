@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"repro/internal/corpus"
+	"repro/internal/dram"
 	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -95,7 +96,7 @@ func runScalePoint(sc Scale, j scaleJob, msgSize int) (ScalePoint, error) {
 		Params:         sim.DefaultParams(),
 		LLCBytes:       sc.LLCBytes,
 		LLCWays:        sc.LLCWays,
-		Geometry:       mediumGeometry(),
+		Geometry:       dram.MediumGeometry(),
 		WithSmartDIMM:  true,
 		SmartDIMMRanks: j.devices,
 	})

@@ -147,7 +147,7 @@ func TestShardedClusterRejectsBadConfigs(t *testing.T) {
 		"zero shards":          func(c *ShardedConfig) { c.Shards = 0 },
 		"fewer conns":          func(c *ShardedConfig) { c.Connections = 1 },
 		"plain http":           func(c *ShardedConfig) { c.Mode = server.PlainHTTP },
-		"lookahead > dispatch": func(c *ShardedConfig) { c.DispatchPs = 1000; c.LookaheadPs = 2000 },
+		"lookahead > dispatch": func(c *ShardedConfig) { c.LookaheadPs = DeriveDispatchPs(sim.DefaultParams()) + 1 },
 	} {
 		cfg := base
 		mutate(&cfg)

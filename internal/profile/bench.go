@@ -24,16 +24,22 @@ import (
 	"repro/internal/rdma"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/wrkgen"
 )
 
-// BenchScenario pins one deterministic serving run.
+// BenchScenario pins one deterministic serving run. It is also the spec
+// every serving run is built from: the KPI bench, smartdimm-sim and the
+// traced figures all describe their runs with it (see Build).
 type BenchScenario struct {
-	Name      string `json:"name"`
-	Placement string `json:"placement"` // cpu | smartdimm | a fleet policy
-	Devices   int    `json:"devices"`   // SmartDIMM ranks (fleet when > 1)
-	ULP       string `json:"ulp"`       // tls | compression
+	Name string `json:"name"`
+	// Placement is cpu | smartnic | qat | smartdimm | adaptive or a fleet
+	// policy (rr | leastload | affinity | sticky). smartdimm over more
+	// than one rank, a shard or a workload means the rr fleet.
+	Placement string `json:"placement"`
+	Devices   int    `json:"devices"` // SmartDIMM ranks (fleet when > 1)
+	ULP       string `json:"ulp"`     // tls (also "") | compression | none
 	Msg       int    `json:"msg"`
 	Conns     int    `json:"conns"`
 	Workers   int    `json:"workers"`
@@ -69,6 +75,16 @@ type BenchScenario struct {
 	// (the source's own payload mix governs).
 	Workload string  `json:"workload,omitempty"`
 	RPS      float64 `json:"rps,omitempty"` // open-loop offered rate (Workload only)
+	// LLCBytes and LLCWays size the LLC (per shard when sharded); zero
+	// selects 2 MiB and 8 ways.
+	LLCBytes int `json:"llc_bytes,omitempty"`
+	LLCWays  int `json:"llc_ways,omitempty"`
+	// Corpus names the served file corpus (zeros | html | text | json |
+	// random); "" is text.
+	Corpus string `json:"corpus,omitempty"`
+	// Trace records the run: a span tracer through every layer plus the
+	// channel-0 CAS stream (serial), or a tracer per shard (sharded).
+	Trace bool `json:"trace,omitempty"`
 }
 
 // Clock reads a wall-time instant in nanoseconds. The bench harness
@@ -132,113 +148,121 @@ func DefaultBenchScenarios() []BenchScenario {
 	}
 }
 
-// RunBenchScenario builds a fresh system and runs one closed-loop
-// measurement, returning the scenario's KPIs.
+// RunBenchScenario builds a fresh system and runs one measurement,
+// returning the scenario's KPIs.
 func RunBenchScenario(sc BenchScenario) (BenchResult, error) {
-	return RunBenchScenarioClocked(sc, nil)
+	return runBenchScenario(sc, nil)
 }
 
-// RunBenchScenarioClocked is RunBenchScenario with an optional wall
+// RunBenchClocked runs every scenario in order with an optional wall
 // clock. A non-nil clock adds the volatile wall KPIs — "wall_seconds"
 // and "sim_req_per_wall_s" (simulated requests retired per wall-clock
 // second, the single-run parallelism figure of merit). Wall KPIs never
 // belong in BENCH_baseline.json; StripVolatile removes them.
-func RunBenchScenarioClocked(sc BenchScenario, clock Clock) (BenchResult, error) {
-	res := BenchResult{Name: sc.Name}
-	params := sim.DefaultParams()
-	if sc.Params != nil {
-		params = *sc.Params
+func RunBenchClocked(scenarios []BenchScenario, clock Clock) (*BenchReport, error) {
+	rep := &BenchReport{}
+	for _, sc := range scenarios {
+		r, err := runBenchScenario(sc, clock)
+		if err != nil {
+			return nil, err
+		}
+		rep.Scenarios = append(rep.Scenarios, r)
 	}
+	return rep, nil
+}
+
+func runBenchScenario(sc BenchScenario, clock Clock) (BenchResult, error) {
 	var start int64
 	if clock != nil {
 		start = clock()
 	}
-	var retired float64 // simulated work units for the wall-rate KPI
-	if sc.Workload != "" {
-		kpis, err := runWorkloadBench(sc, params)
-		if err != nil {
-			return res, err
-		}
-		res.KPIs = kpis
-		retired = kpis["requests"]
-	} else if sc.Nodes > 0 {
-		kpis, err := runClusterWorkload(sc, params)
-		if err != nil {
-			return res, err
-		}
-		res.KPIs = kpis
-		retired = kpis["ops"]
-	} else {
-		m, err := runScenarioWorkload(sc, params)
-		if err != nil {
-			return res, err
-		}
-		cyclesPerByte := 0.0
-		if m.TXBytes > 0 {
-			// ps → cycles: cycles = ps * GHz / 1000.
-			cyclesPerByte = float64(m.CPUBusyPs) * params.CPUClockGHz / 1000 / float64(m.TXBytes)
-		}
-		res.KPIs = map[string]float64{
-			"requests":        float64(m.Requests),
-			"rps":             m.RPS,
-			"mean_lat_ps":     float64(m.MeanLatPs),
-			"p99_lat_ps":      m.Latency.Percentile(99),
-			"cycles_per_byte": cyclesPerByte,
-			"mem_bw_gbps":     m.MemBWGBps,
-		}
-		retired = float64(m.Requests)
+	kpis, err := benchKPIs(sc)
+	if err != nil {
+		return BenchResult{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	if clock != nil {
 		wall := float64(clock()-start) * 1e-9
-		res.KPIs["wall_seconds"] = wall
+		kpis["wall_seconds"] = wall
 		if wall > 0 {
-			res.KPIs["sim_req_per_wall_s"] = retired / wall
+			// Cluster scenarios retire client ops, the others requests.
+			kpis["sim_req_per_wall_s"] = (kpis["requests"] + kpis["ops"]) / wall
 		}
 	}
-	return res, nil
+	return BenchResult{Name: sc.Name, KPIs: kpis}, nil
 }
 
-// runWorkloadBench runs the scenario through the trace-replay workload
-// suite and extracts the serving KPIs plus the open-loop ones (issued
-// count and end-to-end p99 over the replayer's record). workload.Run
-// calibrates from DefaultParams; Params overrides don't apply here.
-func runWorkloadBench(sc BenchScenario, params sim.Params) (map[string]float64, error) {
-	pol, err := fleet.ParsePolicy(sc.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: workload runs need a fleet policy placement: %w", sc.Name, err)
+// benchKPIs runs the scenario on the path its mode fields select and
+// extracts its KPIs.
+func benchKPIs(sc BenchScenario) (map[string]float64, error) {
+	params := sc.params()
+	switch {
+	case sc.Nodes > 0:
+		return clusterKPIs(sc, params)
+	case sc.Workload != "":
+		// The open-loop KPIs add the issued count, and p99 comes from
+		// the replayer's end-to-end record. workload.Run calibrates from
+		// DefaultParams; Params overrides don't apply here.
+		rc, err := sc.WorkloadConfig()
+		if err != nil {
+			return nil, err
+		}
+		rc.DrainPs = sim.Ms
+		rep, err := workload.Run(rc)
+		if err != nil {
+			return nil, err
+		}
+		kpis := servingKPIs(rep.Metrics, rep.P99Ps, params)
+		kpis["issued"] = float64(rep.Issued)
+		return kpis, nil
+	case sc.Shards > 0:
+		cfg, err := sc.ShardedConfig()
+		if err != nil {
+			return nil, err
+		}
+		cl, err := fleet.NewSharded(cfg)
+		if err != nil {
+			return nil, err
+		}
+		sm, err := cl.Run(sc.WarmupPs, sc.MeasurePs)
+		if err != nil {
+			return nil, err
+		}
+		return servingKPIs(sm.Agg, sm.Agg.Latency.Percentile(99), params), nil
 	}
-	rep, err := workload.Run(workload.RunConfig{
-		Kind: sc.Workload, Ranks: sc.Devices, Policy: pol,
-		Conns: sc.Conns, Workers: sc.Workers, Seed: sc.Seed,
-		HorizonPs: sc.WarmupPs + sc.MeasurePs, WarmupPs: sc.WarmupPs, DrainPs: sim.Ms,
-		KV:       workload.KVConfig{ZipfS: 0.99},
-		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sc.RPS},
-	})
+	rig, err := Build(sc)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
-	m := rep.Metrics
+	m, err := rig.Run(sc.WarmupPs, sc.MeasurePs)
+	if err != nil {
+		return nil, err
+	}
+	return servingKPIs(m, m.Latency.Percentile(99), params), nil
+}
+
+// servingKPIs extracts the serving KPIs of one measured window.
+func servingKPIs(m server.Metrics, p99 float64, params sim.Params) map[string]float64 {
 	cyclesPerByte := 0.0
 	if m.TXBytes > 0 {
+		// ps → cycles: cycles = ps * GHz / 1000.
 		cyclesPerByte = float64(m.CPUBusyPs) * params.CPUClockGHz / 1000 / float64(m.TXBytes)
 	}
 	return map[string]float64{
 		"requests":        float64(m.Requests),
 		"rps":             m.RPS,
 		"mean_lat_ps":     float64(m.MeanLatPs),
-		"p99_lat_ps":      rep.P99Ps,
+		"p99_lat_ps":      p99,
 		"cycles_per_byte": cyclesPerByte,
 		"mem_bw_gbps":     m.MemBWGBps,
-		"issued":          float64(rep.Issued),
-	}, nil
+	}
 }
 
-// runClusterWorkload runs the scenario on the replicated cluster tier
-// and extracts the client-visible KPIs.
-func runClusterWorkload(sc BenchScenario, params sim.Params) (map[string]float64, error) {
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
+// clusterKPIs runs the scenario on the replicated cluster tier and
+// extracts the client-visible KPIs.
+func clusterKPIs(sc BenchScenario, params sim.Params) (map[string]float64, error) {
+	mode, err := sc.Mode()
+	if err != nil {
+		return nil, err
 	}
 	c, err := cluster.New(cluster.Config{
 		Nodes: sc.Nodes, Conns: sc.Conns, MsgSize: sc.Msg, Workers: sc.Workers,
@@ -246,11 +270,11 @@ func runClusterWorkload(sc BenchScenario, params sim.Params) (map[string]float64
 		ExecWorkers: sc.ExecWorkers, Params: &params,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
 	m, err := c.Run(sc.WarmupPs, sc.MeasurePs)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, err
 	}
 	return map[string]float64{
 		"ops":          float64(m.Ops),
@@ -264,147 +288,249 @@ func runClusterWorkload(sc BenchScenario, params sim.Params) (map[string]float64
 	}, nil
 }
 
-// runScenarioWorkload executes the scenario's serving run — on the
-// sharded cluster when Shards > 0, on a single serial system otherwise —
-// and returns the (aggregated) server metrics.
-func runScenarioWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
-	if sc.Shards > 0 {
-		return runShardedWorkload(sc, params)
+// modes maps each ULP name to its server mode.
+var modes = map[string]server.Mode{"": server.HTTPSMode, "tls": server.HTTPSMode, "compression": server.CompressedHTTP, "none": server.PlainHTTP}
+
+// Mode returns the server mode the scenario's ULP selects.
+func (sc BenchScenario) Mode() (server.Mode, error) {
+	if m, ok := modes[sc.ULP]; ok {
+		return m, nil
 	}
-	return runSerialWorkload(sc, params)
+	return 0, fmt.Errorf("unknown ulp %q (want tls, compression or none)", sc.ULP)
 }
 
-// runShardedWorkload runs the scenario on a fleet.Sharded cluster.
-func runShardedWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
-	pol, err := fleet.ParsePolicy(sc.Placement)
-	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: sharded runs need a fleet policy placement: %w", sc.Name, err)
+func (sc BenchScenario) params() sim.Params {
+	if sc.Params != nil {
+		return *sc.Params
 	}
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
-	}
-	cl, err := fleet.NewSharded(fleet.ShardedConfig{
-		Shards: sc.Shards, RanksPerShard: sc.Devices, Policy: pol,
-		Workers: sc.Workers, MsgSize: sc.Msg, Connections: sc.Conns,
-		FileKind: corpus.Text, Mode: mode, Seed: sc.Seed,
-		ExecWorkers: sc.ExecWorkers, Params: &params,
-	})
-	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	sm, err := cl.Run(sc.WarmupPs, sc.MeasurePs)
-	if err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	return sm.Agg, nil
+	return sim.DefaultParams()
 }
 
-// runSerialWorkload runs the scenario on one serial system.
-func runSerialWorkload(sc BenchScenario, params sim.Params) (server.Metrics, error) {
+// llc returns the LLC size and associativity with their defaults.
+func (sc BenchScenario) llc() (bytes, ways int) {
+	bytes, ways = sc.LLCBytes, sc.LLCWays
+	if bytes == 0 {
+		bytes = 2 << 20
+	}
+	if ways == 0 {
+		ways = 8
+	}
+	return bytes, ways
+}
+
+// resolved is a checked scenario: what its names select.
+type resolved struct {
+	mode   server.Mode
+	kind   corpus.Kind
+	ranks  int          // the fleet's ranks; 0 when the placement is no fleet
+	policy fleet.Policy // the fleet's placement policy
+	peer   bool         // the zero-copy RDMA data path
+}
+
+// backends builds the backends of the placements that are not fleet
+// policies.
+var backends = map[string]func(sys *sim.System) offload.Backend{
+	"cpu":       func(sys *sim.System) offload.Backend { return &offload.CPU{Sys: sys} },
+	"smartnic":  func(sys *sim.System) offload.Backend { return &offload.SmartNIC{Sys: sys} },
+	"qat":       func(sys *sim.System) offload.Backend { return &offload.QAT{Sys: sys} },
+	"smartdimm": func(sys *sim.System) offload.Backend { return &offload.SmartDIMM{Sys: sys} },
+	"adaptive": func(sys *sim.System) offload.Backend {
+		return &offload.Adaptive{Sys: sys, CPUBackend: &offload.CPU{Sys: sys}, DIMM: &offload.SmartDIMM{Sys: sys}}
+	},
+}
+
+// resolve checks the scenario's placement, data path, ULP and corpus for
+// every builder, and the combinations the run modes exclude.
+func (sc BenchScenario) resolve() (resolved, error) {
+	var r resolved
+	var err error
+	if r.mode, err = sc.Mode(); err != nil {
+		return r, err
+	}
+	if r.kind, err = parseCorpus(sc.Corpus); err != nil {
+		return r, err
+	}
+	switch sc.DataPath {
+	case "", "host":
+	case "peer":
+		r.peer = true
+	default:
+		return r, fmt.Errorf("unknown data path %q (want host or peer)", sc.DataPath)
+	}
+	multi := sc.Devices > 1 || sc.Shards > 0 || sc.Workload != ""
 	pol, polErr := fleet.ParsePolicy(sc.Placement)
-	isFleet := polErr == nil
-	if sc.Devices > 1 && !isFleet {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %d devices needs a fleet policy placement", sc.Name, sc.Devices)
+	switch {
+	case polErr == nil:
+		r.ranks, r.policy = max(1, sc.Devices), pol
+	case backends[sc.Placement] == nil:
+		return r, fmt.Errorf("unknown placement %q", sc.Placement)
+	case sc.Placement == "smartdimm" && multi:
+		r.ranks, r.policy = max(1, sc.Devices), fleet.RoundRobin
+	case multi:
+		return r, fmt.Errorf("placement %q is single-device; %d devices, shards and workloads need smartdimm or a fleet policy (rr, leastload, affinity, sticky)",
+			sc.Placement, sc.Devices)
 	}
-	withDIMM := sc.Placement == "smartdimm" || isFleet
-	ranks := 0
-	if isFleet {
-		ranks = sc.Devices
+	if r.peer && r.ranks == 0 && sc.Placement != "smartdimm" {
+		return r, fmt.Errorf("peer data path: placement %q has no device buffers; use smartdimm or a fleet policy", sc.Placement)
 	}
-	peer := sc.DataPath == "peer"
-	if sc.DataPath != "" && sc.DataPath != "host" && !peer {
-		return server.Metrics{}, fmt.Errorf("scenario %s: unknown data path %q", sc.Name, sc.DataPath)
+	if sc.Shards > 0 && (r.peer || r.mode == server.PlainHTTP) {
+		return r, fmt.Errorf("sharded runs serve tls or compression on the host data path")
 	}
-	if peer && !withDIMM {
-		return server.Metrics{}, fmt.Errorf("scenario %s: peer data path needs an inline placement", sc.Name)
+	if sc.Workload != "" && (sc.Shards > 0 || r.peer || sc.Trace) {
+		return r, fmt.Errorf("workload runs take no shards, peer data path or trace")
+	}
+	return r, nil
+}
+
+func parseCorpus(name string) (corpus.Kind, error) {
+	if name == "" {
+		return corpus.Text, nil
+	}
+	for _, k := range corpus.AllKinds() {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown corpus %q", name)
+}
+
+// Rig is one assembled serial serving run. Callers print from its parts
+// or extend the run through them before Run (a co-runner on Sys.Engine,
+// say).
+type Rig struct {
+	Sys     *sim.System
+	Fleet   *fleet.Fleet      // fleet placements only
+	NIC     *rdma.NIC         // peer data path only
+	Backend offload.Backend   // nil for ULP none
+	Tracer  *telemetry.Tracer // Trace only
+
+	srv *server.Server
+	gen *wrkgen.Generator
+}
+
+// Build assembles a serial serving run of sc on the system engine: the
+// system, the RDMA NIC on the peer data path, the placement's backend,
+// the server and a closed-loop generator with RTT think time. Sharded
+// and workload scenarios build from ShardedConfig and WorkloadConfig.
+func Build(sc BenchScenario) (*Rig, error) {
+	if sc.Shards > 0 || sc.Workload != "" || sc.Nodes > 0 {
+		return nil, fmt.Errorf("Build assembles serial runs, not shards, workloads or nodes")
+	}
+	res, err := sc.resolve()
+	if err != nil {
+		return nil, err
+	}
+	r := &Rig{}
+	traceCAS := 0
+	if sc.Trace {
+		r.Tracer = telemetry.New()
+		traceCAS = 1 << 16
 	}
 	dp := sim.DataPathHost
-	if peer {
+	if res.peer {
 		dp = sim.DataPathPeer
 	}
+	llcBytes, llcWays := sc.llc()
 	sys, err := sim.NewSystem(sim.SystemConfig{
-		Params: params, LLCBytes: 2 << 20, LLCWays: 8,
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
-		WithSmartDIMM:  withDIMM,
-		SmartDIMMRanks: ranks,
+		Params: sc.params(), LLCBytes: llcBytes, LLCWays: llcWays,
+		Geometry:       dram.MediumGeometry(),
+		WithSmartDIMM:  res.ranks > 0 || sc.Placement == "smartdimm" || sc.Placement == "adaptive",
+		SmartDIMMRanks: res.ranks,
 		DataPath:       dp,
+		Tracer:         r.Tracer,
+		TraceCAS:       traceCAS,
 	})
 	if err != nil {
-		return server.Metrics{}, err
+		return nil, err
 	}
-	var nic *rdma.NIC
-	if peer {
-		if nic, err = rdma.New(rdma.Config{Sys: sys}); err != nil {
-			return server.Metrics{}, err
+	r.Sys = sys
+	if res.peer {
+		if r.NIC, err = rdma.New(rdma.Config{Sys: sys, Tracer: r.Tracer}); err != nil {
+			return nil, err
 		}
 	}
-
-	var backend offload.Backend
+	if res.ranks > 0 {
+		if r.Fleet, err = fleet.New(fleet.Config{Sys: sys, Policy: res.policy, RNIC: r.NIC}); err != nil {
+			return nil, err
+		}
+		r.Backend = r.Fleet
+	} else {
+		r.Backend = backends[sc.Placement](sys)
+	}
 	switch {
-	case isFleet:
-		fl, err := fleet.New(fleet.Config{Sys: sys, Policy: pol, RNIC: nic})
-		if err != nil {
-			return server.Metrics{}, err
-		}
-		backend = fl
-	case sc.Placement == "cpu":
-		backend = &offload.CPU{Sys: sys}
-	case sc.Placement == "smartdimm":
-		backend = &offload.SmartDIMM{Sys: sys}
-	default:
-		return server.Metrics{}, fmt.Errorf("scenario %s: unknown placement %q", sc.Name, sc.Placement)
-	}
-	if peer {
-		if backend, err = offload.NewRDMA(backend, nic); err != nil {
-			return server.Metrics{}, err
+	case res.mode == server.PlainHTTP:
+		r.Backend = nil
+	case res.peer:
+		if r.Backend, err = offload.NewRDMA(r.Backend, r.NIC); err != nil {
+			return nil, err
 		}
 	}
-
-	mode := server.HTTPSMode
-	if sc.ULP == "compression" {
-		mode = server.CompressedHTTP
+	if r.srv, err = server.New(sys.Engine, server.Config{
+		Sys: sys, Backend: r.Backend, Mode: res.mode, Workers: sc.Workers,
+		MsgSize: sc.Msg, Connections: sc.Conns, FileKind: res.kind, Seed: sc.Seed,
+	}); err != nil {
+		return nil, err
 	}
-	srv, err := server.New(sys.Engine, server.Config{
-		Sys: sys, Backend: backend, Mode: mode, Workers: sc.Workers,
-		MsgSize: sc.Msg, Connections: sc.Conns, FileKind: corpus.Text, Seed: sc.Seed,
-	})
-	if err != nil {
-		return server.Metrics{}, err
-	}
-	gen := wrkgen.New(sys.Engine, srv, wrkgen.Config{
+	r.gen = wrkgen.New(sys.Engine, r.srv, wrkgen.Config{
 		Connections: sc.Conns,
 		ThinkPs:     int64(sys.Params.RTTUs * float64(sim.Us)),
 	})
-	gen.Start()
-	sys.Engine.RunUntil(sc.WarmupPs)
-	srv.BeginMeasurement()
-	gen.BeginMeasurement()
-	sys.Engine.RunUntil(sc.WarmupPs + sc.MeasurePs)
-	m := srv.Collect()
-	if err := srv.LastError(); err != nil {
-		return server.Metrics{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	return r, nil
+}
+
+// Run warms up for warmupPs, measures for measurePs and returns the
+// server's metrics over the measured window. A traced rig's CAS stream
+// lands in Tracer as a counter track.
+func (r *Rig) Run(warmupPs, measurePs int64) (server.Metrics, error) {
+	eng := r.Sys.Engine
+	r.gen.Start()
+	eng.RunUntil(warmupPs)
+	r.srv.BeginMeasurement()
+	r.gen.BeginMeasurement()
+	eng.RunUntil(warmupPs + measurePs)
+	m := r.srv.Collect()
+	if err := r.srv.LastError(); err != nil {
+		return server.Metrics{}, err
+	}
+	if r.Sys.Trace != nil {
+		r.Sys.Trace.ExportTo(r.Tracer)
 	}
 	return m, nil
 }
 
-// RunBench runs every scenario in order.
-func RunBench(scenarios []BenchScenario) (*BenchReport, error) {
-	return RunBenchClocked(scenarios, nil)
+// ShardedConfig returns the sharded cluster a Shards > 0 scenario runs
+// on: Shards sub-systems of Devices ranks behind the placement's policy.
+func (sc BenchScenario) ShardedConfig() (fleet.ShardedConfig, error) {
+	res, err := sc.resolve()
+	if err != nil {
+		return fleet.ShardedConfig{}, err
+	}
+	params := sc.params()
+	llcBytes, llcWays := sc.llc()
+	return fleet.ShardedConfig{
+		Shards: sc.Shards, RanksPerShard: sc.Devices, Policy: res.policy,
+		Workers: sc.Workers, MsgSize: sc.Msg, Connections: sc.Conns,
+		FileKind: res.kind, Mode: res.mode, Seed: sc.Seed,
+		ExecWorkers: sc.ExecWorkers, Params: &params,
+		LLCBytes: llcBytes, LLCWays: llcWays, Trace: sc.Trace,
+	}, nil
 }
 
-// RunBenchClocked runs every scenario in order with an optional wall
-// clock (see RunBenchScenarioClocked).
-func RunBenchClocked(scenarios []BenchScenario, clock Clock) (*BenchReport, error) {
-	rep := &BenchReport{}
-	for _, sc := range scenarios {
-		r, err := RunBenchScenarioClocked(sc, clock)
-		if err != nil {
-			return nil, err
-		}
-		rep.Scenarios = append(rep.Scenarios, r)
+// WorkloadConfig returns the trace-replay run of a workload scenario: an
+// open-loop arrival trace at RPS over a Devices-rank fleet, the Zipf
+// 0.99 KV mix, autoscaler and observability plane off.
+func (sc BenchScenario) WorkloadConfig() (workload.RunConfig, error) {
+	res, err := sc.resolve()
+	if err != nil {
+		return workload.RunConfig{}, err
 	}
-	return rep, nil
+	return workload.RunConfig{
+		Kind: sc.Workload, Ranks: sc.Devices, Policy: res.policy,
+		Conns: sc.Conns, Workers: sc.Workers, Seed: sc.Seed,
+		HorizonPs: sc.WarmupPs + sc.MeasurePs, WarmupPs: sc.WarmupPs,
+		KV:       workload.KVConfig{ZipfS: 0.99},
+		Arrivals: wrkgen.ArrivalConfig{Streams: 4, BaseRPS: sc.RPS},
+	}, nil
 }
 
 // StripVolatile removes the wall-clock KPIs ("wall_*",

@@ -206,7 +206,7 @@ func Run(cfg RunConfig) (Report, error) {
 	params := sim.DefaultParams()
 	sys, err := sim.NewSystem(sim.SystemConfig{
 		Params: params, LLCBytes: 2 << 20, LLCWays: 8,
-		Geometry:       dram.Geometry{Ranks: 1, BankGroups: 4, BanksPerBG: 4, Rows: 4096, ColsPerRow: 128},
+		Geometry:       dram.MediumGeometry(),
 		WithSmartDIMM:  true,
 		SmartDIMMRanks: cfg.Ranks,
 		Tracer:         tracer,
